@@ -44,6 +44,12 @@ impl fmt::Display for AtpgError {
 
 impl Error for AtpgError {}
 
+impl From<obd_core::pool::WorkerPanicked> for AtpgError {
+    fn from(e: obd_core::pool::WorkerPanicked) -> Self {
+        AtpgError::Internal(e.to_string())
+    }
+}
+
 impl From<LogicError> for AtpgError {
     fn from(e: LogicError) -> Self {
         AtpgError::Netlist(e.to_string())

@@ -346,12 +346,7 @@ impl<'a> FaultSimulator<'a> {
     }
 
     /// Grades a test set against a fault list; returns per-fault detection
-    /// flags.
-    ///
-    /// Runs on the bit-parallel [`PpsfpEngine`]: good-machine responses
-    /// are computed once per 64-test block, each fault is evaluated
-    /// fault-major with dropping, and the results are bit-exact with
-    /// [`FaultSimulator::grade_scalar`].
+    /// flags. The one-thread case of [`FaultSimulator::grade_parallel`].
     ///
     /// # Errors
     ///
@@ -361,14 +356,7 @@ impl<'a> FaultSimulator<'a> {
         faults: &[Fault],
         tests: &[TwoPatternTest],
     ) -> Result<Vec<bool>, AtpgError> {
-        if faults.is_empty() {
-            return Ok(Vec::new());
-        }
-        let engine = PpsfpEngine::<SUPERLANE_WIDTH>::prepare(self, tests)?;
-        let detected = engine.grade(faults)?;
-        FAULTS_GRADED.add(faults.len() as u64);
-        FAULTS_DETECTED.add(detected.iter().filter(|&&d| d).count() as u64);
-        Ok(detected)
+        self.grade_parallel(faults, tests, 1)
     }
 
     /// The scalar reference grader: one three-valued simulation per
@@ -414,28 +402,32 @@ impl<'a> FaultSimulator<'a> {
         out
     }
 
-    /// [`FaultSimulator::grade`] fanned out over OS threads: workers
-    /// steal fault indices from a shared atomic counter (load-balanced
-    /// under fault dropping) and share one detected bitmap.
+    /// Grades a test set against a fault list on `threads` pool workers.
+    ///
+    /// Runs on the bit-parallel [`PpsfpEngine`]: good-machine responses
+    /// are computed once per packed block (blocks fanned out over the
+    /// workers), then faults are graded fault-major with dropping, one
+    /// pool job per fault. The result is bit-exact with
+    /// [`FaultSimulator::grade_scalar`] at any thread count.
     ///
     /// # Errors
     ///
-    /// Propagates detection errors from any worker.
+    /// The detection error of the lowest-indexed failing fault, whatever
+    /// the thread count.
     pub fn grade_parallel(
         &self,
         faults: &[Fault],
         tests: &[TwoPatternTest],
         threads: usize,
     ) -> Result<Vec<bool>, AtpgError> {
-        let threads = threads.max(1).min(faults.len().max(1));
-        if threads <= 1 {
-            return self.grade(faults, tests);
+        if faults.is_empty() {
+            return Ok(Vec::new());
         }
         let engine = PpsfpEngine::<SUPERLANE_WIDTH>::prepare_with_threads(self, tests, threads)?;
-        let out = engine.grade_parallel(faults, threads)?;
+        let detected = engine.grade_parallel(faults, threads)?;
         FAULTS_GRADED.add(faults.len() as u64);
-        FAULTS_DETECTED.add(out.iter().filter(|&&d| d).count() as u64);
-        Ok(out)
+        FAULTS_DETECTED.add(detected.iter().filter(|&&d| d).count() as u64);
+        Ok(detected)
     }
 
     /// [`FaultSimulator::grade_parallel`] sized to the machine: one worker

@@ -25,18 +25,17 @@
 //! The engine also carries the campaign-level machinery the scalar loops
 //! lacked: fault dropping (a detected fault leaves the campaign
 //! immediately), a reusable per-worker [`PpsfpScratch`] arena so the
-//! inner loop is allocation-free, work-stealing parallel grading over an
-//! atomic fault index, and good-response cache fills batched across
-//! worker threads ([`PpsfpEngine::prepare_with_threads`]) so a large
-//! test set does not serialize the warm-up.
+//! inner loop is allocation-free, and parallel grading and good-response
+//! cache fills ([`PpsfpEngine::prepare_with_threads`]) as jobs on the
+//! shared work-stealing [`obd_core::pool`], so a large test set does not
+//! serialize the warm-up.
 //!
 //! For drop-heavy campaigns [`grade_adaptive`] picks the width
 //! dynamically: narrow (width-1) rounds while faults are dying fast,
 //! the full super-lane engine once the survivor set stabilizes — same
 //! detection vector either way.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use obd_cmos::cell::Cell;
 use obd_cmos::switch::{excites, CellTransistor, NetworkSide};
@@ -110,7 +109,7 @@ struct GoodBlock<const N: usize> {
 /// Per-worker scratch arena: every buffer the packed inner loop needs,
 /// reused across faults and blocks so steady-state grading performs no
 /// heap allocation.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct PpsfpScratch<const N: usize = SUPERLANE_WIDTH> {
     /// Faulty-machine net words (one per net).
     words: Vec<LaneWord<N>>,
@@ -118,16 +117,6 @@ pub struct PpsfpScratch<const N: usize = SUPERLANE_WIDTH> {
     v1: Vec<bool>,
     /// Frame-2 gate-input values of one lane.
     v2: Vec<bool>,
-}
-
-impl<const N: usize> Default for PpsfpScratch<N> {
-    fn default() -> Self {
-        PpsfpScratch {
-            words: Vec::new(),
-            v1: Vec::new(),
-            v2: Vec::new(),
-        }
-    }
 }
 
 /// How a fault is evaluated against a packed block, precomputed once per
@@ -318,9 +307,9 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
 
     /// Serializes a block's `g1 ++ g2` response words as raw LE `u64`
     /// lanes: `2 * num_nets * N * 8` bytes exactly.
-    fn encode_good(blk: &GoodBlock<N>) -> Vec<u8> {
-        let mut out = Vec::with_capacity(2 * blk.g1.len() * N * 8);
-        for words in [&blk.g1, &blk.g2] {
+    fn encode_good(g1: &[LaneWord<N>], g2: &[LaneWord<N>]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(2 * g1.len() * N * 8);
+        for words in [g1, g2] {
             for w in words {
                 for lane in 0..N {
                     out.extend_from_slice(&w.lane(lane).to_le_bytes());
@@ -357,12 +346,12 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
         Some((g1, g2))
     }
 
-    /// Simulates the good machine into every block's frame caches,
-    /// splitting the blocks across workers when asked for more than one.
-    /// When a persistent `store` is armed, each block first probes it by
-    /// content digest (netlist structure + exact packed frames) — a hit
-    /// skips both good sims — and fresh responses are written back.
-    /// Returns `(store_hits, store_misses)`.
+    /// Simulates the good machine into every block's frame caches, one
+    /// pool job per block on `threads` workers. When a persistent `store`
+    /// is armed, each block first probes it by content digest (netlist
+    /// structure + exact packed frames) — a hit skips both good sims —
+    /// and fresh responses are written back. Returns
+    /// `(store_hits, store_misses)`.
     fn fill_good_responses(
         sim: &FaultSimulator<'a>,
         blocks: &mut [GoodBlock<N>],
@@ -371,10 +360,7 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
     ) -> Result<(u64, u64), AtpgError> {
         let num_nets = sim.soa.num_nets();
         let soa_fp = sim.soa.fingerprint();
-        let hits = AtomicU64::new(0);
-        let misses = AtomicU64::new(0);
-        let (hits_ref, misses_ref) = (&hits, &misses);
-        let fill = |blk: &mut GoodBlock<N>| -> Result<(), AtpgError> {
+        let responses = obd_core::pool::run_jobs(blocks, threads, |_, blk| {
             let digest = store.map(|_| Self::block_digest(soa_fp, num_nets, blk));
             if let (Some(store), Some(digest)) = (store, digest) {
                 // Store errors (corruption, I/O) degrade to a miss: the
@@ -386,53 +372,30 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
                     .as_deref()
                     .and_then(|b| Self::decode_good(b, num_nets))
                 {
-                    blk.g1 = g1;
-                    blk.g2 = g2;
-                    hits_ref.fetch_add(1, Ordering::Relaxed);
                     GOOD_STORE_HITS.inc();
-                    return Ok(());
+                    return Ok((g1, g2, true));
                 }
             }
-            sim.soa.simulate_wide_into(&blk.frame1, &mut blk.g1)?;
-            sim.soa.simulate_wide_into(&blk.frame2, &mut blk.g2)?;
+            let (mut g1, mut g2) = (Vec::new(), Vec::new());
+            sim.soa.simulate_wide_into(&blk.frame1, &mut g1)?;
+            sim.soa.simulate_wide_into(&blk.frame2, &mut g2)?;
             if let (Some(store), Some(digest)) = (store, digest) {
-                misses_ref.fetch_add(1, Ordering::Relaxed);
                 GOOD_STORE_MISSES.inc();
-                let _ = store.put(digest, &Self::encode_good(blk));
+                let _ = store.put(digest, &Self::encode_good(&g1, &g2));
             }
-            Ok(())
+            Ok::<_, AtpgError>((g1, g2, false))
+        })?;
+        let hits = responses.iter().filter(|&&(_, _, hit)| hit).count() as u64;
+        let misses = if store.is_some() {
+            blocks.len() as u64 - hits
+        } else {
+            0
         };
-        let threads = threads.max(1).min(blocks.len().max(1));
-        if threads <= 1 {
-            blocks.iter_mut().try_for_each(fill)?;
-            return Ok((hits.load(Ordering::Relaxed), misses.load(Ordering::Relaxed)));
+        for (blk, (g1, g2, _)) in blocks.iter_mut().zip(responses) {
+            blk.g1 = g1;
+            blk.g2 = g2;
         }
-        let first_error: Mutex<Option<AtpgError>> = Mutex::new(None);
-        let per_worker = blocks.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            for shard in blocks.chunks_mut(per_worker) {
-                let first_error = &first_error;
-                scope.spawn(move || {
-                    for blk in shard {
-                        if let Err(e) = fill(blk) {
-                            first_error
-                                .lock()
-                                .unwrap_or_else(PoisonError::into_inner)
-                                .get_or_insert(e);
-                            break;
-                        }
-                    }
-                });
-            }
-        });
-        let taken = first_error
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take();
-        match taken {
-            Some(e) => Err(e),
-            None => Ok((hits.load(Ordering::Relaxed), misses.load(Ordering::Relaxed))),
-        }
+        Ok((hits, misses))
     }
 
     /// Number of tests in the set.
@@ -720,82 +683,28 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
         Ok(row)
     }
 
-    /// Grades the fault list serially (fault-major, with dropping).
+    /// Grades the fault list serially (fault-major, with dropping): the
+    /// one-thread case of [`PpsfpEngine::grade_parallel`].
     ///
     /// # Errors
     ///
     /// Propagates detection errors.
     pub fn grade(&self, faults: &[Fault]) -> Result<Vec<bool>, AtpgError> {
-        let mut scratch = PpsfpScratch::default();
-        faults
-            .iter()
-            .map(|f| self.grade_one(f, &mut scratch))
-            .collect()
+        self.grade_parallel(faults, 1)
     }
 
-    /// Work-stealing parallel grading: workers pull fault indices from a
-    /// shared atomic counter (so shards stay load-balanced under
-    /// dropping) and publish detections into a shared bitmap.
+    /// Grades the fault list on `threads` pool workers, one job per
+    /// fault, each worker reusing its own [`PpsfpScratch`]. Stealing
+    /// fault indices keeps the workers load-balanced under dropping.
     ///
     /// # Errors
     ///
-    /// Propagates the first detection error observed by any worker;
-    /// worker panics surface as [`AtpgError::Internal`].
+    /// The error of the lowest-indexed failing fault, whatever the
+    /// thread count; worker panics surface as [`AtpgError::Internal`].
     pub fn grade_parallel(&self, faults: &[Fault], threads: usize) -> Result<Vec<bool>, AtpgError> {
-        let threads = threads.max(1).min(faults.len().max(1));
-        if threads <= 1 {
-            return self.grade(faults);
-        }
-        let next = AtomicUsize::new(0);
-        let abort = AtomicBool::new(false);
-        let detected: Vec<AtomicU64> = (0..faults.len().div_ceil(64))
-            .map(|_| AtomicU64::new(0))
-            .collect();
-        let first_error: Mutex<Option<AtpgError>> = Mutex::new(None);
-        let panicked = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for _ in 0..threads {
-                handles.push(scope.spawn(|| {
-                    let mut scratch = PpsfpScratch::default();
-                    loop {
-                        if abort.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= faults.len() {
-                            break;
-                        }
-                        match self.grade_one(&faults[i], &mut scratch) {
-                            Ok(true) => {
-                                detected[i / 64].fetch_or(1u64 << (i % 64), Ordering::Relaxed);
-                            }
-                            Ok(false) => {}
-                            Err(e) => {
-                                let mut slot =
-                                    first_error.lock().unwrap_or_else(PoisonError::into_inner);
-                                slot.get_or_insert(e);
-                                abort.store(true, Ordering::Relaxed);
-                                break;
-                            }
-                        }
-                    }
-                }));
-            }
-            handles.into_iter().any(|h| h.join().is_err())
-        });
-        if panicked {
-            return Err(AtpgError::Internal("fault-grading worker panicked".into()));
-        }
-        if let Some(e) = first_error
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take()
-        {
-            return Err(e);
-        }
-        Ok((0..faults.len())
-            .map(|i| detected[i / 64].load(Ordering::Relaxed) >> (i % 64) & 1 == 1)
-            .collect())
+        obd_core::pool::run_jobs_with(faults, threads, PpsfpScratch::default, |scratch, _, f| {
+            self.grade_one(f, scratch)
+        })
     }
 
     /// Gracefully degraded grading with dropping: a fault whose

@@ -84,11 +84,13 @@ fn sweep_width<const N: usize>(counts: &[usize]) {
                 scalar,
                 "{name}/{count}/N={N}"
             );
-            assert_eq!(
-                engine.grade_parallel(&faults, 3).unwrap(),
-                scalar,
-                "{name}/{count}/N={N} parallel"
-            );
+            for threads in [2, 3, 7] {
+                assert_eq!(
+                    engine.grade_parallel(&faults, threads).unwrap(),
+                    scalar,
+                    "{name}/{count}/N={N} threads={threads}"
+                );
+            }
         }
     }
 }
@@ -123,7 +125,7 @@ fn loop_order_unified_across_all_graders() {
     let tests = random_two_pattern(nl.inputs().len(), 100, 77);
     let scalar = sim.grade_scalar(&faults, &tests).unwrap();
     assert_eq!(sim.grade(&faults, &tests).unwrap(), scalar);
-    for threads in [1usize, 2, 4, 7] {
+    for threads in [1usize, 2, 3, 7] {
         assert_eq!(
             sim.grade_parallel(&faults, &tests, threads).unwrap(),
             scalar,
@@ -361,6 +363,49 @@ fn vector_width_errors_preserved() {
     let outcomes = sim.grade_degraded(&faults, &bad);
     assert_eq!(outcomes.len(), faults.len());
     assert!(outcomes.iter().all(|o| o.is_degraded()));
+}
+
+/// Two faults that cannot be planned (EM on XOR gates, which have no
+/// cell model) at fault indices i < j: every thread count reports the
+/// lower-indexed one, whichever worker fails first.
+#[test]
+fn lowest_indexed_planning_error_wins_at_any_thread_count() {
+    use obd_core::faultmodel::Polarity;
+    use obd_logic::netlist::GateKind;
+    let mut nl = Netlist::new();
+    let a = nl.add_input("a");
+    let b = nl.add_input("b");
+    let c = nl.add_input("c");
+    let n1 = nl.add_gate(GateKind::Nand, "n1", &[a, b]).unwrap();
+    let xa = nl.add_gate(GateKind::Xor, "xa", &[n1, c]).unwrap();
+    let xb = nl.add_gate(GateKind::Xor, "xb", &[a, c]).unwrap();
+    let y = nl.add_gate(GateKind::Nand, "y", &[xa, xb]).unwrap();
+    nl.mark_output(y);
+    let sim = FaultSimulator::new(&nl).unwrap();
+    let tests = random_two_pattern(3, 200, 5);
+    let em = |name: &str| Fault::Em {
+        gate: nl.driver(nl.find_net(name).unwrap()).unwrap(),
+        pin: 0,
+        polarity: Polarity::Nmos,
+    };
+    let mut faults = Vec::new();
+    for _ in 0..20 {
+        faults.extend(stuck_at_faults(&nl));
+    }
+    let (i, j) = (faults.len() / 2, faults.len() - 1);
+    faults.insert(i, em("xa"));
+    faults.insert(j, em("xb"));
+    for (lo, hi) in [("xa", "xb"), ("xb", "xa")] {
+        faults[i] = em(lo);
+        faults[j] = em(hi);
+        for threads in [1usize, 2, 3, 4, 7, 16] {
+            assert_eq!(
+                sim.grade_parallel(&faults, &tests, threads),
+                Err(AtpgError::UnsupportedGate { gate: lo.into() }),
+                "threads = {threads}"
+            );
+        }
+    }
 }
 
 /// Empty fault lists and empty test sets keep the scalar contract.

@@ -11,10 +11,11 @@ use obd_atpg::faultsim::FaultSimulator;
 use obd_atpg::generate::generate_obd_tests;
 use obd_cmos::TechParams;
 use obd_core::cache::DelayCache;
-use obd_core::characterize::{characterize_table1_auto, BenchConfig, DelayTable};
+use obd_core::characterize::{characterize_table1, BenchConfig, DelayTable};
 use obd_core::BreakdownStage;
 use obd_logic::circuits::fig8_sum_circuit;
 use obd_metrics::MetricsSnapshot;
+use obd_spice::SimOptions;
 
 /// Everything the observability run produced.
 #[derive(Debug)]
@@ -51,7 +52,9 @@ pub fn run(tech: &TechParams, cfg: &BenchConfig) -> Result<MetricsRunReport, Str
 
     // Real Table 1 ladder: the paper's NAND delay measurements across all
     // breakdown stages, through the analog engine.
-    let table1 = characterize_table1_auto(tech, cfg).map_err(|e| e.to_string())?;
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let table1 =
+        characterize_table1(tech, cfg, &SimOptions::new(), threads).map_err(|e| e.to_string())?;
 
     // Delay-model annotation through a shared cache, twice: first pass
     // misses and simulates, second pass hits on every key.

@@ -491,16 +491,30 @@ fn run_table1(paper: bool) -> Result<JobOutput, String> {
     })
 }
 
+/// Register width of the LFSR that generates a grade job's tests.
+const GRADE_LFSR_WIDTH: usize = 16;
+
 fn run_grade(
     circuit: &str,
     tests: usize,
     seed: u64,
     stage: BreakdownStage,
 ) -> Result<JobOutput, String> {
+    // The register keeps only the seed's low bits; all-zero ones would
+    // lock the LFSR at zero, which `Lfsr::maximal` rejects by panicking.
+    if seed & ((1 << GRADE_LFSR_WIDTH) - 1) == 0 {
+        return Err(format!(
+            "grade seed {seed:#x} has all-zero low {GRADE_LFSR_WIDTH} bits: the test LFSR would lock at zero"
+        ));
+    }
     let nl = netlist_by_name(circuit).map_err(|e| e.to_string())?;
     let sim = FaultSimulator::new(&nl).map_err(|e| e.to_string())?;
-    let test_set =
-        obd_atpg::bist::phased_lfsr_two_pattern_tests(nl.inputs().len(), tests, 16, seed);
+    let test_set = obd_atpg::bist::phased_lfsr_two_pattern_tests(
+        nl.inputs().len(),
+        tests,
+        GRADE_LFSR_WIDTH,
+        seed,
+    );
     let mut faults = stuck_at_faults(&nl);
     faults.extend(transition_faults(&nl));
     faults.extend(obd_faults(&nl, stage, false));
@@ -1389,6 +1403,24 @@ mod tests {
         assert!(json.contains("\"degraded\": 1"));
         assert!(json.contains("\"dead_lettered\": 0"));
         assert!(json.contains("\"id\": \"px\""));
+    }
+
+    #[test]
+    fn grade_seed_with_zero_low_bits_degrades_instead_of_panicking() {
+        // Called directly, a panic would fail this test outright.
+        let err = run_grade("c17", 40, 0x10000, BreakdownStage::Mbd2)
+            .err()
+            .expect("zero register seed must be rejected");
+        assert!(err.contains("0x10000"), "{err}");
+        let batch = parse_batch(
+            "{\"id\": \"z\", \"kind\": \"grade\", \"circuit\": \"c17\", \"tests\": 40, \"seed\": 65536}\n",
+        );
+        let report = run_batch(&batch, 1);
+        assert_eq!(report.count(JobStatus::Panicked), 0);
+        assert!(report.clean());
+        let job = &report.jobs[0];
+        assert_eq!(job.status, JobStatus::Degraded, "{}", job.detail);
+        assert!(job.detail.contains("LFSR"), "{}", job.detail);
     }
 
     #[test]

@@ -27,9 +27,8 @@ use obd_cmos::expand::expand;
 use obd_cmos::TechParams;
 use obd_core::cache::DelayCache;
 use obd_core::characterize::{
-    characterize_table1_cached, characterize_table1_parallel,
-    characterize_table1_parallel_with_options, characterize_table1_with_options,
-    measure_cell_transition_with_options, BenchConfig, Fig5Bench, Table1, TransitionOutcome,
+    characterize_table1, characterize_table1_cached, measure_cell_transition_with_options,
+    BenchConfig, Fig5Bench,
 };
 use obd_core::fixtures::{measure_fixture_transition_with_options, mna_unknowns, MultiCellBench};
 use obd_core::monte::{run_monte, MonteConfig};
@@ -132,35 +131,6 @@ impl SpiceBenchReport {
     }
 }
 
-/// Exact-bit equality of two Table 1 grids: every cell either `Stuck` on
-/// both sides or a delay with identical f64 bit patterns.
-fn tables_bit_identical(a: &Table1, b: &Table1) -> bool {
-    let cell_eq = |x: Option<TransitionOutcome>, y: Option<TransitionOutcome>| match (x, y) {
-        (None, None) => true,
-        (Some(TransitionOutcome::Stuck), Some(TransitionOutcome::Stuck)) => true,
-        (Some(TransitionOutcome::Delay(p)), Some(TransitionOutcome::Delay(q))) => {
-            p.to_bits() == q.to_bits()
-        }
-        _ => false,
-    };
-    a.rows.len() == b.rows.len()
-        && a.rows.iter().zip(&b.rows).all(|(ra, rb)| {
-            ra.nmos
-                .iter()
-                .zip(&rb.nmos)
-                .chain(ra.pmos.iter().zip(&rb.pmos))
-                .all(|(&x, &y)| cell_eq(x, y))
-        })
-}
-
-fn outcome_bits_eq(a: TransitionOutcome, b: TransitionOutcome) -> bool {
-    match (a, b) {
-        (TransitionOutcome::Stuck, TransitionOutcome::Stuck) => true,
-        (TransitionOutcome::Delay(p), TransitionOutcome::Delay(q)) => p.to_bits() == q.to_bits(),
-        _ => false,
-    }
-}
-
 /// Times the Newton kernel under `opts`: a warm solver on the Fig. 5
 /// bench circuit, re-solved from the operating point under a transient
 /// context. Returns (ns/iteration, iterations timed).
@@ -253,15 +223,13 @@ pub fn run(tech: &TechParams, cfg: &BenchConfig) -> Result<SpiceBenchReport, Obd
     let mut parallel = None;
     for _ in 0..REPS {
         let t0 = Instant::now();
-        baseline = Some(characterize_table1_with_options(
-            tech, &ref_cfg, &reference,
-        )?);
+        baseline = Some(characterize_table1(tech, &ref_cfg, &reference, 1)?);
         table1_reference_s = table1_reference_s.min(t0.elapsed().as_secs_f64());
         let t1 = Instant::now();
-        serial = Some(characterize_table1_with_options(tech, cfg, &fast)?);
+        serial = Some(characterize_table1(tech, cfg, &fast, 1)?);
         table1_serial_s = table1_serial_s.min(t1.elapsed().as_secs_f64());
         let t2 = Instant::now();
-        parallel = Some(characterize_table1_parallel(tech, cfg, threads)?);
+        parallel = Some(characterize_table1(tech, cfg, &fast, threads)?);
         table1_parallel_s = table1_parallel_s.min(t2.elapsed().as_secs_f64());
     }
     let (baseline, serial, parallel) = (
@@ -317,12 +285,12 @@ pub fn run(tech: &TechParams, cfg: &BenchConfig) -> Result<SpiceBenchReport, Obd
     let dense_opts = SimOptions::new().with_solver(SolverKind::Dense);
     let sparse_opts = SimOptions::new().with_solver(SolverKind::Sparse);
     let t5 = Instant::now();
-    let table_dense = characterize_table1_parallel_with_options(tech, cfg, threads, &dense_opts)?;
+    let table_dense = characterize_table1(tech, cfg, &dense_opts, threads)?;
     let sparse_table1_dense_s = t5.elapsed().as_secs_f64();
     let t6 = Instant::now();
-    let table_sparse = characterize_table1_parallel_with_options(tech, cfg, threads, &sparse_opts)?;
+    let table_sparse = characterize_table1(tech, cfg, &sparse_opts, threads)?;
     let sparse_table1_sparse_s = t6.elapsed().as_secs_f64();
-    let mut sparse_byte_identical = tables_bit_identical(&table_dense, &table_sparse);
+    let mut sparse_byte_identical = table_dense.bit_identical(&table_sparse);
 
     let fixture = MultiCellBench::full_adder()?;
     let sparse_fixture_unknowns = {
@@ -367,7 +335,7 @@ pub fn run(tech: &TechParams, cfg: &BenchConfig) -> Result<SpiceBenchReport, Obd
         fixture_outcomes = Some((od, os));
     }
     if let Some((od, os)) = fixture_outcomes {
-        sparse_byte_identical &= outcome_bits_eq(od, os);
+        sparse_byte_identical &= od.bits_eq(os);
     }
 
     // Monte Carlo throughput: a small campaign at the bench resolution,
@@ -586,42 +554,5 @@ mod tests {
         let open = j.matches('{').count();
         assert_eq!(open, j.matches('}').count());
         assert_eq!(open, 7);
-    }
-
-    #[test]
-    fn table_bit_identity_distinguishes_cells() {
-        use obd_core::characterize::Table1Row;
-        use obd_core::BreakdownStage;
-        let row = Table1Row {
-            stage: BreakdownStage::Sbd,
-            nmos_params: None,
-            pmos_params: None,
-            nmos: [
-                Some(TransitionOutcome::Delay(123.456)),
-                Some(TransitionOutcome::Stuck),
-                None,
-                None,
-            ],
-            pmos: [None; 4],
-        };
-        let t = Table1 {
-            rows: vec![row.clone()],
-        };
-        assert!(tables_bit_identical(&t, &t));
-        let mut flipped = Table1 { rows: vec![row] };
-        flipped.rows[0].nmos[0] = Some(TransitionOutcome::Delay(123.456 + 1e-10));
-        assert!(!tables_bit_identical(&t, &flipped));
-        assert!(outcome_bits_eq(
-            TransitionOutcome::Delay(1.5),
-            TransitionOutcome::Delay(1.5)
-        ));
-        assert!(!outcome_bits_eq(
-            TransitionOutcome::Delay(1.5),
-            TransitionOutcome::Stuck
-        ));
-        assert!(!outcome_bits_eq(
-            TransitionOutcome::Delay(1.5),
-            TransitionOutcome::Delay(1.5 + 1e-13)
-        ));
     }
 }

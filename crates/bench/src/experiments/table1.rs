@@ -4,6 +4,7 @@
 use obd_cmos::TechParams;
 use obd_core::characterize::{characterize_table1, BenchConfig, Table1, TransitionOutcome};
 use obd_core::ObdError;
+use obd_spice::SimOptions;
 
 /// Regenerates Table 1 with the analog model.
 ///
@@ -11,7 +12,7 @@ use obd_core::ObdError;
 ///
 /// Propagates characterization errors.
 pub fn run(tech: &TechParams, cfg: &BenchConfig) -> Result<Table1, ObdError> {
-    characterize_table1(tech, cfg)
+    characterize_table1(tech, cfg, &SimOptions::new(), 1)
 }
 
 /// Checks the qualitative paper claims on a regenerated table; returns a

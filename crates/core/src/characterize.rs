@@ -54,6 +54,17 @@ impl TransitionOutcome {
         }
     }
 
+    /// Exact equality: both stuck, or delays with identical f64 bits.
+    pub fn bits_eq(self, other: Self) -> bool {
+        match (self, other) {
+            (TransitionOutcome::Stuck, TransitionOutcome::Stuck) => true,
+            (TransitionOutcome::Delay(p), TransitionOutcome::Delay(q)) => {
+                p.to_bits() == q.to_bits()
+            }
+            _ => false,
+        }
+    }
+
     /// Table-style rendering: `"118ps"` or `"sa-0"`/`"sa-1"` given the
     /// expected final value.
     pub fn render(self, expected_final_high: bool) -> String {
@@ -457,6 +468,26 @@ pub struct Table1 {
 }
 
 impl Table1 {
+    /// Exact-bit equality of two grids: the same stages, and every cell
+    /// empty on both sides or [`TransitionOutcome::bits_eq`].
+    pub fn bit_identical(&self, other: &Table1) -> bool {
+        let cell_eq =
+            |(x, y): (&Option<TransitionOutcome>, &Option<TransitionOutcome>)| match (x, y) {
+                (None, None) => true,
+                (Some(a), Some(b)) => a.bits_eq(*b),
+                _ => false,
+            };
+        self.rows.len() == other.rows.len()
+            && self.rows.iter().zip(&other.rows).all(|(a, b)| {
+                a.stage == b.stage
+                    && a.nmos
+                        .iter()
+                        .zip(&b.nmos)
+                        .chain(a.pmos.iter().zip(&b.pmos))
+                        .all(cell_eq)
+            })
+    }
+
     /// Renders the table as text in the paper's layout.
     pub fn render(&self) -> String {
         let mut s = String::new();
@@ -479,65 +510,62 @@ impl Table1 {
     }
 }
 
-/// Regenerates Table 1: transition delays of the Fig. 5 NAND for the four
-/// single-input sequences under NMOS/PMOS defects on each input, across
-/// the progression ladder.
+/// Regenerates Table 1 under solver options `opts`: transition delays of
+/// the Fig. 5 NAND for the four single-input sequences under NMOS/PMOS
+/// defects on each input, across the progression ladder.
+///
+/// Every cell of the grid is an independent transient (own circuit
+/// expansion, own solver), so the cells fan out over `threads` workers of
+/// the work-stealing [`crate::pool`]. Cell costs are wildly uneven —
+/// fault-free cells stop at the capture limit, stuck cells escalate to
+/// the full window — and stealing bounds the imbalance by one cell. Each
+/// job fills its own `(row, slot)` cell, so the table is identical at any
+/// thread count; `threads <= 1` measures serially.
 ///
 /// # Errors
 ///
-/// Propagates measurement errors.
-pub fn characterize_table1(tech: &TechParams, cfg: &BenchConfig) -> Result<Table1, ObdError> {
-    characterize_table1_with_options(tech, cfg, &SimOptions::new())
-}
-
-/// [`characterize_table1`] under explicit solver options; the benchmark
-/// harness uses this to time the whole grid on the reference kernel.
-///
-/// # Errors
-///
-/// Propagates measurement errors.
-pub fn characterize_table1_with_options(
+/// The measurement error of the first failing cell in grid order.
+pub fn characterize_table1(
     tech: &TechParams,
     cfg: &BenchConfig,
     opts: &SimOptions,
+    threads: usize,
 ) -> Result<Table1, ObdError> {
-    let (jobs, row_meta) = table1_jobs();
-    let mut slots = vec![[None; 8]; row_meta.len()];
-    for j in &jobs {
-        slots[j.row][j.slot] = Some(measure_cell_transition_with_options(
-            tech,
-            GateKind::Nand,
-            j.defect,
-            j.v1,
-            j.v2,
-            cfg,
-            opts,
-        )?);
-    }
-    Ok(table1_from_slots(row_meta, slots))
+    let (jobs, row_meta, cells) = table1_run(threads, |j| {
+        measure_cell_transition_with_options(tech, GateKind::Nand, j.defect, j.v1, j.v2, cfg, opts)
+    });
+    Ok(table1_from_cells(
+        row_meta,
+        &jobs,
+        cells?.into_iter().map(Some),
+    ))
 }
 
 /// [`characterize_table1`] routed through a [`DelayCache`]: repeated
 /// cells hit memory, and when the cache is persistent the whole grid is
-/// served from disk on a warm rerun. Cell visit order matches the serial
-/// driver, so the assembled table is identical to
-/// [`characterize_table1`]'s on a cold cache.
+/// served from disk on a warm rerun. Cells are visited serially in grid
+/// order, so the assembled table is identical to
+/// [`characterize_table1`]'s on a cold cache and the store sees the same
+/// access sequence on every run.
 ///
 /// # Errors
 ///
 /// Propagates measurement errors.
+///
+/// [`DelayCache`]: crate::cache::DelayCache
 pub fn characterize_table1_cached(
     tech: &TechParams,
     cfg: &BenchConfig,
     cache: &crate::cache::DelayCache,
 ) -> Result<Table1, ObdError> {
-    let (jobs, row_meta) = table1_jobs();
-    let mut slots = vec![[None; 8]; row_meta.len()];
-    for j in &jobs {
-        slots[j.row][j.slot] =
-            Some(cache.measure_cell(tech, GateKind::Nand, j.defect, j.v1, j.v2, cfg)?);
-    }
-    Ok(table1_from_slots(row_meta, slots))
+    let (jobs, row_meta, cells) = table1_run(1, |j| {
+        cache.measure_cell(tech, GateKind::Nand, j.defect, j.v1, j.v2, cfg)
+    });
+    Ok(table1_from_cells(
+        row_meta,
+        &jobs,
+        cells?.into_iter().map(Some),
+    ))
 }
 
 /// A Table 1 cell whose measurement failed. The campaign records the
@@ -626,24 +654,23 @@ impl Table1Report {
     }
 }
 
-/// [`characterize_table1_with_options`] with graceful degradation: a cell
-/// whose measurement fails is marked degraded (with its typed error) and
-/// the campaign continues instead of aborting the whole table. Cells the
+/// [`characterize_table1`] with graceful degradation: a cell whose
+/// measurement fails is marked degraded (with its typed error) and the
+/// campaign continues instead of aborting the whole table. Cells the
 /// injection layer never touched are bit-identical to the strict
 /// driver's; recovered cells (injections absorbed by the escalation
 /// ladder) are valid but may differ in low-order bits.
+///
+/// Cells run serially: the injection counter is process-wide, so its
+/// before/after delta belongs to one cell only while no other cell runs.
 pub fn characterize_table1_degraded(
     tech: &TechParams,
     cfg: &BenchConfig,
     opts: &SimOptions,
 ) -> Table1Report {
-    let (jobs, row_meta) = table1_jobs();
-    let mut slots = vec![[None; 8]; row_meta.len()];
-    let mut failures = Vec::new();
-    let mut recovered = Vec::new();
-    for j in &jobs {
+    let (jobs, row_meta, cells) = table1_run(1, |j| {
         let before = obd_chaos::injected_total();
-        match measure_cell_transition_with_options(
+        let measured = measure_cell_transition_with_options(
             tech,
             GateKind::Nand,
             j.defect,
@@ -651,10 +678,18 @@ pub fn characterize_table1_degraded(
             j.v2,
             cfg,
             opts,
-        ) {
+        );
+        Ok((measured, obd_chaos::injected_total().saturating_sub(before)))
+    });
+    // The jobs never fail, so only a pool failure lands here; it
+    // degrades every cell rather than escaping as a panic.
+    let cells = cells.unwrap_or_else(|e| vec![(Err(e), 0); jobs.len()]);
+    let mut failures = Vec::new();
+    let mut recovered = Vec::new();
+    let mut outcomes = Vec::with_capacity(jobs.len());
+    for (j, (measured, injections)) in jobs.iter().zip(cells) {
+        match measured {
             Ok(o) => {
-                slots[j.row][j.slot] = Some(o);
-                let injections = obd_chaos::injected_total().saturating_sub(before);
                 if injections > 0 {
                     recovered.push(CellRecovery {
                         row: j.row,
@@ -662,6 +697,7 @@ pub fn characterize_table1_degraded(
                         injections,
                     });
                 }
+                outcomes.push(Some(o));
             }
             Err(e) => {
                 CELLS_DEGRADED.inc();
@@ -671,11 +707,12 @@ pub fn characterize_table1_degraded(
                     stage: row_meta[j.row].0,
                     error: e.to_string(),
                 });
+                outcomes.push(None);
             }
         }
     }
     Table1Report {
-        table: table1_from_slots(row_meta, slots),
+        table: table1_from_cells(row_meta, &jobs, outcomes),
         failures,
         recovered,
     }
@@ -696,9 +733,6 @@ struct Table1Job {
 /// Per-row metadata: the progression stage plus its NMOS/PMOS model
 /// parameters (absent where the stage has no such device variant).
 type Table1RowMeta = (BreakdownStage, Option<ObdParams>, Option<ObdParams>);
-
-/// A finished cell measurement tagged with its row/slot coordinates.
-type Table1CellResult = (usize, usize, TransitionOutcome);
 
 /// Builds the flat job list for the Table 1 grid, in the same order the
 /// serial driver visits it.
@@ -755,11 +789,29 @@ fn table1_jobs() -> (Vec<Table1Job>, Vec<Table1RowMeta>) {
     (jobs, row_meta)
 }
 
-/// Assembles outcome slots back into [`Table1`] rows.
-fn table1_from_slots(
-    row_meta: Vec<(BreakdownStage, Option<ObdParams>, Option<ObdParams>)>,
-    slots: Vec<[Option<TransitionOutcome>; 8]>,
+/// The one Table 1 job loop: measures every grid cell with `measure` on
+/// `threads` pool workers. Returns the grid's jobs and row metadata with
+/// the per-cell results in job order.
+fn table1_run<T: Send>(
+    threads: usize,
+    measure: impl Fn(&Table1Job) -> Result<T, ObdError> + Sync,
+) -> (Vec<Table1Job>, Vec<Table1RowMeta>, Result<Vec<T>, ObdError>) {
+    let (jobs, row_meta) = table1_jobs();
+    let cells = crate::pool::run_jobs(&jobs, threads, |_, j| measure(j));
+    (jobs, row_meta, cells)
+}
+
+/// Assembles per-job cell outcomes (in job order) into [`Table1`] rows;
+/// `None` leaves a cell empty.
+fn table1_from_cells(
+    row_meta: Vec<Table1RowMeta>,
+    jobs: &[Table1Job],
+    outcomes: impl IntoIterator<Item = Option<TransitionOutcome>>,
 ) -> Table1 {
+    let mut slots = vec![[None; 8]; row_meta.len()];
+    for (j, o) in jobs.iter().zip(outcomes) {
+        slots[j.row][j.slot] = o;
+    }
     let rows = row_meta
         .into_iter()
         .zip(slots)
@@ -772,70 +824,6 @@ fn table1_from_slots(
         })
         .collect();
     Table1 { rows }
-}
-
-/// [`characterize_table1`] fanned out over the work-stealing pool
-/// ([`crate::pool`], shared with the Monte Carlo engine). Every cell of
-/// the grid is an independent transient (own circuit expansion, own
-/// solver), so the grid parallelizes embarrassingly — but cell costs are
-/// wildly uneven (fault-free cells stop at the capture limit, stuck cells
-/// escalate to the full window), which is why the earlier
-/// one-contiguous-chunk-per-thread driver measured only ~1× speedup.
-/// Work-stealing bounds the imbalance by a single cell. Each job writes
-/// its own `(row, slot)` cell, which makes the assembled table identical
-/// to the serial driver's regardless of scheduling.
-///
-/// # Errors
-///
-/// Propagates measurement errors from any worker.
-pub fn characterize_table1_parallel(
-    tech: &TechParams,
-    cfg: &BenchConfig,
-    threads: usize,
-) -> Result<Table1, ObdError> {
-    characterize_table1_parallel_with_options(tech, cfg, threads, &SimOptions::new())
-}
-
-/// [`characterize_table1_parallel`] under explicit solver options.
-///
-/// # Errors
-///
-/// Propagates measurement errors from any worker.
-pub fn characterize_table1_parallel_with_options(
-    tech: &TechParams,
-    cfg: &BenchConfig,
-    threads: usize,
-    opts: &SimOptions,
-) -> Result<Table1, ObdError> {
-    let (jobs, row_meta) = table1_jobs();
-    let results: Vec<Table1CellResult> = crate::pool::run_jobs(&jobs, threads, |_, j| {
-        let o = measure_cell_transition_with_options(
-            tech,
-            GateKind::Nand,
-            j.defect,
-            j.v1,
-            j.v2,
-            cfg,
-            opts,
-        )?;
-        Ok((j.row, j.slot, o))
-    })?;
-    let mut slots = vec![[None; 8]; row_meta.len()];
-    for (row, slot, o) in results {
-        slots[row][slot] = Some(o);
-    }
-    Ok(table1_from_slots(row_meta, slots))
-}
-
-/// [`characterize_table1_parallel`] sized to the machine:
-/// `std::thread::available_parallelism()` workers (one when unknown).
-///
-/// # Errors
-///
-/// Propagates measurement errors from any worker.
-pub fn characterize_table1_auto(tech: &TechParams, cfg: &BenchConfig) -> Result<Table1, ObdError> {
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    characterize_table1_parallel(tech, cfg, threads)
 }
 
 /// Fig. 4: the inverter voltage-transfer characteristic under an NMOS (or
@@ -1156,6 +1144,33 @@ impl DelayTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn table_bit_identity_distinguishes_cells() {
+        let row = Table1Row {
+            stage: BreakdownStage::Sbd,
+            nmos_params: None,
+            pmos_params: None,
+            nmos: [
+                Some(TransitionOutcome::Delay(123.456)),
+                Some(TransitionOutcome::Stuck),
+                None,
+                None,
+            ],
+            pmos: [None; 4],
+        };
+        let t = Table1 {
+            rows: vec![row.clone()],
+        };
+        assert!(t.bit_identical(&t));
+        let mut flipped = Table1 { rows: vec![row] };
+        flipped.rows[0].nmos[0] = Some(TransitionOutcome::Delay(123.456 + 1e-10));
+        assert!(!t.bit_identical(&flipped));
+        let d = TransitionOutcome::Delay(1.5);
+        assert!(d.bits_eq(TransitionOutcome::Delay(1.5)));
+        assert!(!d.bits_eq(TransitionOutcome::Stuck));
+        assert!(!d.bits_eq(TransitionOutcome::Delay(1.5 + 1e-13)));
+    }
 
     fn fast_cfg() -> BenchConfig {
         BenchConfig {

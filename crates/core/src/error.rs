@@ -65,6 +65,12 @@ impl From<LogicError> for ObdError {
     }
 }
 
+impl From<crate::pool::WorkerPanicked> for ObdError {
+    fn from(e: crate::pool::WorkerPanicked) -> Self {
+        ObdError::Spice(e.to_string())
+    }
+}
+
 impl From<CmosError> for ObdError {
     fn from(e: CmosError) -> Self {
         ObdError::Cmos(e.to_string())

@@ -343,7 +343,7 @@ pub fn run_monte_with_options(
                 opts,
             )
         });
-        Ok(match measured {
+        Ok::<_, ObdError>(match measured {
             Ok(TransitionOutcome::Delay(d)) => MonteOutcome::Delay(d),
             Ok(TransitionOutcome::Stuck) => {
                 MONTE_STUCK.inc();

@@ -42,8 +42,7 @@ fn disarmed_degraded_run_matches_strict_run() {
     let tech = TechParams::date05();
     let cfg = quick_cfg();
     let opts = SimOptions::new();
-    let strict =
-        obd_core::characterize::characterize_table1_with_options(&tech, &cfg, &opts).unwrap();
+    let strict = obd_core::characterize::characterize_table1(&tech, &cfg, &opts, 1).unwrap();
     let report = characterize_table1_degraded(&tech, &cfg, &opts);
     assert!(!report.is_degraded(), "clean run must not degrade");
     assert!(report.recovered.is_empty(), "clean run has no recoveries");

@@ -5,12 +5,10 @@
 
 use obd_cmos::TechParams;
 use obd_core::cache::DelayCache;
-use obd_core::characterize::{
-    characterize_table1, characterize_table1_parallel, BenchConfig, DelayTable, Table1,
-    TransitionOutcome,
-};
+use obd_core::characterize::{characterize_table1, BenchConfig, DelayTable};
 use obd_core::faultmodel::Polarity;
 use obd_core::BreakdownStage;
+use obd_spice::SimOptions;
 
 /// Coarse, fast settings — equivalence holds at any resolution.
 fn fast_cfg() -> BenchConfig {
@@ -24,52 +22,23 @@ fn fast_cfg() -> BenchConfig {
     }
 }
 
-fn assert_outcomes_identical(
-    a: Option<TransitionOutcome>,
-    b: Option<TransitionOutcome>,
-    ctx: &str,
-) {
-    match (a, b) {
-        (None, None) => {}
-        (Some(TransitionOutcome::Stuck), Some(TransitionOutcome::Stuck)) => {}
-        (Some(TransitionOutcome::Delay(x)), Some(TransitionOutcome::Delay(y))) => {
-            // Same transients in the same engine: bit-identical, not merely close.
-            assert!(x == y, "{ctx}: {x} != {y}");
-        }
-        other => panic!("{ctx}: outcome shape diverged: {other:?}"),
-    }
-}
-
-fn assert_tables_identical(a: &Table1, b: &Table1) {
-    assert_eq!(a.rows.len(), b.rows.len());
-    for (ra, rb) in a.rows.iter().zip(b.rows.iter()) {
-        assert_eq!(ra.stage, rb.stage);
-        for slot in 0..4 {
-            assert_outcomes_identical(
-                ra.nmos[slot],
-                rb.nmos[slot],
-                &format!("{} nmos[{slot}]", ra.stage),
-            );
-            assert_outcomes_identical(
-                ra.pmos[slot],
-                rb.pmos[slot],
-                &format!("{} pmos[{slot}]", ra.stage),
-            );
-        }
-    }
-    assert_eq!(a.render(), b.render());
-}
-
 #[test]
 fn parallel_characterization_matches_serial() {
     let tech = TechParams::date05();
     let cfg = fast_cfg();
-    let serial = characterize_table1(&tech, &cfg).unwrap();
-    let parallel = characterize_table1_parallel(&tech, &cfg, 4).unwrap();
-    assert_tables_identical(&serial, &parallel);
-    // Degenerate worker counts must also agree.
-    let one = characterize_table1_parallel(&tech, &cfg, 1).unwrap();
-    assert_tables_identical(&serial, &one);
+    let opts = SimOptions::new();
+    let serial = characterize_table1(&tech, &cfg, &opts, 1).unwrap();
+    // The thread-count invariance matrix: uneven and oversubscribed
+    // worker counts must reproduce the serial table bit for bit.
+    for threads in [2, 3, 7] {
+        let parallel = characterize_table1(&tech, &cfg, &opts, threads).unwrap();
+        assert!(
+            serial.bit_identical(&parallel),
+            "threads={threads}:\n{}\n{}",
+            serial.render(),
+            parallel.render()
+        );
+    }
 }
 
 #[test]

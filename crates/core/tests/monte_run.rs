@@ -39,10 +39,12 @@ fn report_is_byte_identical_across_thread_counts() {
     let _guard = GLOBAL_STATE_LOCK.lock().unwrap();
     let tech = TechParams::date05();
     let serial = run_monte(&tech, &small_config(1)).unwrap().render_json();
-    let parallel = run_monte(&tech, &small_config(4)).unwrap().render_json();
-    assert_eq!(serial, parallel);
-    let wide = run_monte(&tech, &small_config(13)).unwrap().render_json();
-    assert_eq!(serial, wide);
+    for threads in [2, 3, 7] {
+        let parallel = run_monte(&tech, &small_config(threads))
+            .unwrap()
+            .render_json();
+        assert_eq!(serial, parallel, "threads = {threads}");
+    }
 }
 
 #[test]

@@ -11,8 +11,7 @@ use std::sync::Mutex;
 
 use obd_cmos::TechParams;
 use obd_core::characterize::{
-    characterize_table1_parallel_with_options, measure_cell_transition_with_options, BenchConfig,
-    BenchDefect, Table1, TransitionOutcome,
+    characterize_table1, measure_cell_transition_with_options, BenchConfig, BenchDefect,
 };
 use obd_core::faultmodel::Polarity;
 use obd_core::fixtures::{measure_fixture_transition_with_options, mna_unknowns, MultiCellBench};
@@ -33,45 +32,26 @@ fn fast_cfg() -> BenchConfig {
     }
 }
 
-fn outcomes_bit_identical(a: &Table1, b: &Table1) -> bool {
-    let cell_eq = |x: Option<TransitionOutcome>, y: Option<TransitionOutcome>| match (x, y) {
-        (None, None) => true,
-        (Some(TransitionOutcome::Stuck), Some(TransitionOutcome::Stuck)) => true,
-        (Some(TransitionOutcome::Delay(p)), Some(TransitionOutcome::Delay(q))) => {
-            p.to_bits() == q.to_bits()
-        }
-        _ => false,
-    };
-    a.rows.len() == b.rows.len()
-        && a.rows.iter().zip(&b.rows).all(|(ra, rb)| {
-            ra.nmos
-                .iter()
-                .zip(&rb.nmos)
-                .chain(ra.pmos.iter().zip(&rb.pmos))
-                .all(|(&x, &y)| cell_eq(x, y))
-        })
-}
-
 #[test]
 fn table1_sparse_is_bit_identical_to_dense() {
     let tech = TechParams::date05();
     let cfg = fast_cfg();
-    let dense = characterize_table1_parallel_with_options(
+    let dense = characterize_table1(
         &tech,
         &cfg,
-        4,
         &SimOptions::new().with_solver(SolverKind::Dense),
+        4,
     )
     .unwrap();
-    let sparse = characterize_table1_parallel_with_options(
+    let sparse = characterize_table1(
         &tech,
         &cfg,
-        4,
         &SimOptions::new().with_solver(SolverKind::Sparse),
+        4,
     )
     .unwrap();
     assert!(
-        outcomes_bit_identical(&dense, &sparse),
+        dense.bit_identical(&sparse),
         "dense:\n{}\nsparse:\n{}",
         dense.render(),
         sparse.render()
@@ -132,13 +112,12 @@ fn randomized_sequences_match_bitwise_across_backends() {
                 .unwrap(),
             );
         }
-        match (results[0], results[1]) {
-            (TransitionOutcome::Stuck, TransitionOutcome::Stuck) => {}
-            (TransitionOutcome::Delay(p), TransitionOutcome::Delay(q)) => {
-                assert_eq!(p.to_bits(), q.to_bits(), "v1={v1:?} v2={v2:?} {stage}");
-            }
-            (a, b) => panic!("backend verdicts diverge: {a:?} vs {b:?}"),
-        }
+        assert!(
+            results[0].bits_eq(results[1]),
+            "v1={v1:?} v2={v2:?} {stage}: {:?} vs {:?}",
+            results[0],
+            results[1]
+        );
         compared += 1;
     }
     assert!(compared >= 4, "random draw must exercise several sequences");

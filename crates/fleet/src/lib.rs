@@ -104,3 +104,9 @@ impl std::fmt::Display for FleetError {
 }
 
 impl std::error::Error for FleetError {}
+
+impl From<obd_core::pool::WorkerPanicked> for FleetError {
+    fn from(e: obd_core::pool::WorkerPanicked) -> Self {
+        FleetError::InvalidConfig(e.to_string())
+    }
+}

@@ -1,13 +1,14 @@
 //! The sharded fleet driver.
 //!
-//! Devices are split into contiguous id ranges, one per worker thread.
-//! Every device seeds its own xorshift64* stream from
-//! `seed + id · GOLDEN` (SplitMix64-scrambled inside `seed_from_u64`),
-//! so the stream depends only on the fleet seed and the device id —
-//! never on which shard simulated it. Shard accumulators are integers
-//! (counts and milli-hour latencies) merged in shard-index order, so
-//! the aggregate — and the JSON artifact built from it — is
-//! byte-identical across thread counts.
+//! Devices are split into contiguous id blocks that run as jobs on the
+//! shared [`obd_core::pool`] (one block per worker thread unless
+//! checkpointing asks for smaller ones). Every device seeds its own
+//! xorshift64* stream from `seed + id · GOLDEN` (SplitMix64-scrambled
+//! inside `seed_from_u64`), so the stream depends only on the fleet seed
+//! and the device id — never on which block simulated it. Block
+//! accumulators are integers (counts and milli-hour latencies) merged in
+//! block order, so the aggregate — and the JSON artifact built from it —
+//! is byte-identical across thread counts.
 
 use obd_core::characterize::DelayTable;
 use obd_metrics::{Counter, Gauge, Histogram};
@@ -301,7 +302,8 @@ fn finish(
     report
 }
 
-/// Runs the whole fleet and aggregates the report.
+/// Runs the whole fleet and aggregates the report: one contiguous
+/// device block per worker thread, nothing checkpointed.
 ///
 /// # Errors
 ///
@@ -309,40 +311,8 @@ fn finish(
 /// surface as [`FleetError::Grading`] from profile construction, not
 /// here. Poisoned devices are *counted*, not propagated.
 pub fn run_fleet(cfg: &FleetConfig, profile: &BistProfile) -> Result<FleetReport, FleetError> {
-    validate(cfg, profile)?;
-    let threads = resolve_threads(cfg);
-    let chunk = cfg.devices.div_ceil(threads as u64);
-
-    let mut acc = FleetAccum::default();
-    if threads == 1 {
-        acc = simulate_range(cfg, profile, 0, cfg.devices)?;
-    } else {
-        let mut shards: Vec<Result<FleetAccum, FleetError>> = Vec::with_capacity(threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads as u64)
-                .map(|i| {
-                    let lo = i * chunk;
-                    let hi = ((i + 1) * chunk).min(cfg.devices);
-                    scope.spawn(move || simulate_range(cfg, profile, lo, hi))
-                })
-                .collect();
-            for h in handles {
-                // A panicking shard is a bug in the device model; surface
-                // it as a typed error instead of unwinding the caller.
-                shards.push(h.join().unwrap_or_else(|_| {
-                    Err(FleetError::InvalidConfig(
-                        "worker thread panicked".to_string(),
-                    ))
-                }));
-            }
-        });
-        // Merge in shard-index order: deterministic regardless of the
-        // order the threads actually finished in.
-        for shard in shards {
-            acc.merge(shard?);
-        }
-    }
-    Ok(finish(cfg, profile, threads, acc))
+    let block = cfg.devices.div_ceil(resolve_threads(cfg) as u64);
+    run_fleet_resumable(cfg, profile, None, block)
 }
 
 /// Runs the fleet in fixed device-id checkpoint blocks, replaying every
@@ -352,10 +322,10 @@ pub fn run_fleet(cfg: &FleetConfig, profile: &BistProfile) -> Result<FleetReport
 /// The emitted report is byte-identical to [`run_fleet`]'s for the same
 /// config: per-device streams are partition-independent, block merges
 /// happen in block order, and the latency vector is sorted once at the
-/// end. Workers pull blocks from a shared queue, so a block is never
-/// simulated twice in one run; completed blocks are checkpointed
-/// immediately (best-effort), which is what bounds the work a `kill -9`
-/// can destroy.
+/// end. Pending blocks run as jobs on the work-stealing
+/// [`obd_core::pool`], so a block is never simulated twice in one run;
+/// completed blocks are checkpointed immediately (best-effort), which is
+/// what bounds the work a `kill -9` can destroy.
 ///
 /// # Errors
 ///
@@ -372,81 +342,31 @@ pub fn run_fleet_resumable(
     let threads = resolve_threads(cfg);
     let nblocks = cfg.devices.div_ceil(block);
     let campaign = crate::checkpoint::campaign_digest(cfg, profile);
+    let range = |b: u64| (b * block, ((b + 1) * block).min(cfg.devices));
 
     // Block slots in block order; resumed blocks fill immediately.
     let mut slots: Vec<Option<FleetAccum>> = (0..nblocks)
         .map(|b| {
-            let lo = b * block;
-            let hi = ((b + 1) * block).min(cfg.devices);
+            let (lo, hi) = range(b);
             store.and_then(|s| crate::checkpoint::load_block(s, campaign, lo, hi))
         })
         .collect();
-    let pending: Vec<(usize, u64, u64)> = slots
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.is_none())
-        .map(|(i, _)| {
-            let lo = i as u64 * block;
-            (i, lo, (lo + block).min(cfg.devices))
-        })
-        .collect();
-
-    if !pending.is_empty() {
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let drain = || {
-            let mut out: Vec<(usize, Result<FleetAccum, FleetError>)> = Vec::new();
-            loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some(&(slot, lo, hi)) = pending.get(i) else {
-                    break;
-                };
-                let r = simulate_range(cfg, profile, lo, hi);
-                if let (Some(s), Ok(acc)) = (store, &r) {
-                    crate::checkpoint::store_block(s, campaign, lo, hi, acc);
-                }
-                out.push((slot, r));
-            }
-            out
-        };
-        let workers = threads.min(pending.len());
-        let mut done: Vec<(usize, Result<FleetAccum, FleetError>)> = Vec::new();
-        if workers == 1 {
-            done = drain();
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers).map(|_| scope.spawn(drain)).collect();
-                for h in handles {
-                    done.extend(h.join().unwrap_or_else(|_| {
-                        vec![(
-                            usize::MAX,
-                            Err(FleetError::InvalidConfig(
-                                "worker thread panicked".to_string(),
-                            )),
-                        )]
-                    }));
-                }
-            });
+    let pending: Vec<usize> = (0..slots.len()).filter(|&b| slots[b].is_none()).collect();
+    let simulated = obd_core::pool::run_jobs(&pending, threads, |_, &b| {
+        let (lo, hi) = range(b as u64);
+        let acc = simulate_range(cfg, profile, lo, hi)?;
+        if let Some(s) = store {
+            crate::checkpoint::store_block(s, campaign, lo, hi, &acc);
         }
-        for (slot, r) in done {
-            let acc = r?;
-            if let Some(s) = slots.get_mut(slot) {
-                *s = Some(acc);
-            }
-        }
+        Ok::<_, FleetError>(acc)
+    })?;
+    for (b, acc) in pending.into_iter().zip(simulated) {
+        slots[b] = Some(acc);
     }
 
     let mut acc = FleetAccum::default();
-    for s in slots {
-        match s {
-            Some(b) => acc.merge(b),
-            // A slot can only be empty if its worker panicked without a
-            // typed error — surface that instead of undercounting.
-            None => {
-                return Err(FleetError::InvalidConfig(
-                    "checkpoint block missing after drain".to_string(),
-                ))
-            }
-        }
+    for b in slots.into_iter().flatten() {
+        acc.merge(b);
     }
     Ok(finish(cfg, profile, threads, acc))
 }

@@ -95,21 +95,6 @@ impl GateKind {
         }
     }
 
-    /// Evaluates the gate over packed 64-pattern two-valued words (bit `i`
-    /// of each word is pattern `i`).
-    pub fn eval_packed(self, inputs: &[u64]) -> u64 {
-        match self {
-            GateKind::Inv => !inputs[0],
-            GateKind::Buf => inputs[0],
-            GateKind::And => inputs.iter().fold(!0u64, |a, &b| a & b),
-            GateKind::Or => inputs.iter().fold(0u64, |a, &b| a | b),
-            GateKind::Nand => !inputs.iter().fold(!0u64, |a, &b| a & b),
-            GateKind::Nor => !inputs.iter().fold(0u64, |a, &b| a | b),
-            GateKind::Xor => inputs.iter().fold(0u64, |a, &b| a ^ b),
-            GateKind::Xnor => !inputs.iter().fold(0u64, |a, &b| a ^ b),
-        }
-    }
-
     /// The *controlling value* of the gate, if it has one: an input at this
     /// value forces the output regardless of the other inputs (AND/NAND: 0,
     /// OR/NOR: 1). XOR-family and single-input gates have none.
@@ -168,15 +153,6 @@ mod tests {
         assert_eq!(GateKind::And.eval(&[One, Zero, One]), Zero);
         assert_eq!(GateKind::Xor.eval(&[One, One, One]), One);
         assert_eq!(GateKind::Xnor.eval(&[One, One]), One);
-    }
-
-    #[test]
-    fn packed_matches_scalar_on_nand() {
-        // Patterns: bit0 = (0,0), bit1 = (0,1), bit2 = (1,0), bit3 = (1,1).
-        let a = 0b1100u64;
-        let b = 0b1010u64;
-        let y = GateKind::Nand.eval_packed(&[a, b]);
-        assert_eq!(y & 0b1111, 0b0111);
     }
 
     #[test]

@@ -8,12 +8,12 @@
 //!   validation.
 //! * [`sim`] — levelized three-valued simulation, including two-pattern
 //!   (launch/capture) simulation used everywhere in OBD testing.
-//! * [`parallel`] — 64-way bit-parallel two-valued simulation for fast fault
-//!   grading.
 //! * [`wide`] — `[u64; N]` super-lane pattern words and wide pattern
-//!   blocks (up to `64 * N` patterns per sweep).
-//! * [`soa`] — the levelized structure-of-arrays netlist the packed
-//!   simulation hot path walks (one-time `compile()`, flat arrays).
+//!   blocks (up to `64 * N` patterns per sweep; `N = 1` is the classic
+//!   64-way parallel-pattern block).
+//! * [`soa`] — the levelized structure-of-arrays netlist that packed
+//!   two-valued simulation walks (one-time `compile()`, flat arrays);
+//!   fault grading runs on it.
 //! * [`sta`] — static timing analysis: arrival/required/slack, the
 //!   quantity that gates at-speed OBD detectability (§4.2).
 //! * [`timing`] — event-driven timing simulation with per-gate rise/fall
@@ -48,7 +48,6 @@ pub mod error;
 pub mod format;
 pub mod gate;
 pub mod netlist;
-pub mod parallel;
 pub mod sim;
 pub mod soa;
 pub mod sta;

@@ -269,7 +269,6 @@ impl SoaNetlist {
 mod tests {
     use super::*;
     use crate::circuits;
-    use crate::parallel::{simulate_block, PatternBlock};
     use crate::sim::simulate;
     use crate::value::{all_vectors, Lv};
 
@@ -325,8 +324,10 @@ mod tests {
         }
     }
 
+    /// Every net of a 64-pattern (`N = 1`) sweep equals the three-valued
+    /// scalar oracle's value under that pattern.
     #[test]
-    fn narrow_wide_sim_matches_legacy_block_sim() {
+    fn narrow_wide_sim_matches_scalar_oracle() {
         for nl in [
             circuits::c17(),
             circuits::fig8_sum_circuit(),
@@ -335,20 +336,38 @@ mod tests {
         ] {
             let soa = SoaNetlist::compile(&nl).unwrap();
             let vectors = vectors_for(nl.inputs().len(), 64, 0x5EED);
-            let narrow = PatternBlock::pack(&vectors).unwrap();
-            let legacy = simulate_block(&nl, &narrow).unwrap();
-            let wide = WideBlock::<1>::pack(&vectors).unwrap();
+            let block = WideBlock::<1>::pack(&vectors).unwrap();
+            assert_eq!(block.mask(), LaneWord::ONES);
             let mut words = Vec::new();
-            soa.simulate_wide_into(&wide, &mut words).unwrap();
-            for n in nl.net_ids() {
-                assert_eq!(
-                    words[n.index()].lane(0),
-                    legacy.word(n),
-                    "net {} diverged",
-                    nl.net_name(n)
-                );
+            soa.simulate_wide_into(&block, &mut words).unwrap();
+            for (k, v) in vectors.iter().enumerate() {
+                let scalar = simulate(&nl, v).unwrap();
+                for n in nl.net_ids() {
+                    assert_eq!(
+                        Lv::from_bool(words[n.index()].bit(k)),
+                        scalar.value(n),
+                        "pattern {k} net {}",
+                        nl.net_name(n)
+                    );
+                }
             }
         }
+    }
+
+    #[test]
+    fn forced_primary_input_overrides_block() {
+        let nl = circuits::c17();
+        let soa = SoaNetlist::compile(&nl).unwrap();
+        let a = nl.inputs()[0];
+        let block = WideBlock::<1>::pack(&all_vectors(5).collect::<Vec<_>>()).unwrap();
+        let mut words = Vec::new();
+        soa.simulate_wide_forced_into(&block, &[(a, LaneWord::ONES)], &mut words)
+            .unwrap();
+        assert_eq!(
+            words[a.index()],
+            LaneWord::ONES,
+            "forced PI overrides the block"
+        );
     }
 
     #[test]
@@ -425,6 +444,10 @@ mod tests {
                 expected: 5,
                 found: 1
             })
+        ));
+        assert!(matches!(
+            soa.simulate_wide_forced_into(&block, &[], &mut words),
+            Err(LogicError::InputCountMismatch { .. })
         ));
     }
 }

@@ -7,10 +7,9 @@
 //! so widening the word amortizes the per-gate bookkeeping of a packed
 //! simulation sweep over eight times as many patterns.
 //!
-//! [`WideBlock`] is the `[u64; N]` generalization of the 64-pattern
-//! [`PatternBlock`](crate::parallel::PatternBlock): up to `64 * N`
-//! fully-specified input vectors packed one [`LaneWord`] per primary
-//! input. The packing entry points all enforce the block capacity and
+//! [`WideBlock`] is the `[u64; N]` generalization of the classic
+//! 64-pattern block (`WideBlock<1>`): up to `64 * N` fully-specified
+//! input vectors packed one [`LaneWord`] per primary input. The packing entry points all enforce the block capacity and
 //! vector-width invariants — including [`WideBlock::pack_unchecked`],
 //! which (despite the legacy name) now *panics* on ragged or oversized
 //! input rather than silently truncating the pattern set.
@@ -410,6 +409,19 @@ mod tests {
         for i in 0..3 {
             assert_eq!(a.word(i), b.word(i));
         }
+        let ragged: Vec<&[Lv]> = vec![&vectors[0], &vectors[1][..2]];
+        assert!(matches!(
+            WideBlock::<1>::pack_slices(&ragged),
+            Err(LogicError::InputCountMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn pack_treats_x_as_zero() {
+        let block = WideBlock::<1>::pack(&[vec![Lv::X, Lv::One], vec![Lv::Zero, Lv::X]]).unwrap();
+        // PI 0: X,0 -> both bits clear; PI 1: 1,X -> only bit 0 set.
+        assert_eq!(block.word(0).lane(0), 0b00);
+        assert_eq!(block.word(1).lane(0), 0b01);
     }
 
     #[test]

@@ -14,6 +14,7 @@ use obd_suite::cmos::TechParams;
 use obd_suite::obd::characterize::{characterize_table1, inverter_vtc, BenchConfig};
 use obd_suite::obd::faultmodel::Polarity;
 use obd_suite::obd::BreakdownStage;
+use obd_suite::spice::SimOptions;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let tech = TechParams::date05();
@@ -22,7 +23,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Table 1 with the at-speed capture criterion that renders the
     // paper's sa-0/sa-1 entries.
     println!("regenerating Table 1 (this runs ~40 transient analyses)...");
-    let table = characterize_table1(&tech, &BenchConfig::table1())?;
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let table = characterize_table1(&tech, &BenchConfig::table1(), &SimOptions::new(), threads)?;
     println!("\n{}", table.render());
     fs::write("nand_characterization/table1.txt", table.render())?;
 

@@ -5,6 +5,18 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo fmt --check
+
+# One job fan-out: every parallel job loop runs on obd_core::pool. The
+# serve supervisor (deadlines, retries, watchdog) is the one other place
+# allowed to spawn scoped threads.
+stray_scopes=$(grep -rln "thread::scope" crates/*/src \
+    | grep -v -x -e crates/core/src/pool.rs -e crates/bench/src/experiments/serve.rs || true)
+if [ -n "$stray_scopes" ]; then
+    echo "hand-rolled thread::scope fan-out outside the pool:" >&2
+    echo "$stray_scopes" >&2
+    exit 1
+fi
+
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 cargo clippy --offline --workspace --all-targets -- -D warnings
