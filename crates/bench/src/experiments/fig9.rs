@@ -233,6 +233,20 @@ mod tests {
         cfg.window_ps = 3000.0;
         let rows = run(&tech, BreakdownStage::Mbd2, &cfg).unwrap();
         assert_eq!(rows.len(), 4);
+        // Bit pins: (fault-free, faulty) `f64::to_bits` of every row, as
+        // produced at this configuration. Any change to the engine's
+        // floating-point sequence shows up here before it reaches Fig. 9.
+        let pins: [(&str, u64, Option<u64>); 4] = [
+            ("NMOS pin0", 4650123845678266541, Some(4653120438607175677)),
+            ("NMOS pin1", 4650123845678266541, Some(4658023466536834068)),
+            ("PMOS pin0", 4650247075737970087, None),
+            ("PMOS pin1", 4650437702767568849, Some(4655691131395583429)),
+        ];
+        for (r, (label, ff_bits, faulty_bits)) in rows.iter().zip(pins) {
+            assert_eq!(r.label, label);
+            assert_eq!(r.fault_free_ps.map(f64::to_bits), Some(ff_bits), "{label}");
+            assert_eq!(r.faulty_ps.map(f64::to_bits), faulty_bits, "{label}");
+        }
         let mut slowed = 0;
         for r in &rows {
             let ff = r

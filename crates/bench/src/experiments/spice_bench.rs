@@ -1,20 +1,9 @@
 //! Analog-engine throughput benchmark behind `BENCH_spice.json`.
 //!
-//! Everything is timed twice where it makes sense: once on the optimized
-//! hot path (split linear/nonlinear stamping + zero-allocation workspace
-//! LU) and once on the retained reference kernel
-//! ([`SimOptions::with_reference_kernel`]), which restamps every device
-//! each iteration and runs a one-shot allocating factor/solve — the
-//! engine's behavior before the overhaul. The reference runs also set
-//! [`BenchConfig::sim_full_window`], reproducing the pre-overhaul driver
-//! that simulated the whole observation window instead of stopping once
-//! the at-speed capture verdict is decided. The report therefore separates
-//!
-//! * the *kernel* speedup (reference serial → optimized serial, which
-//!   folds in the capture-limited window), and
-//! * the *thread* speedup (optimized serial → optimized parallel),
-//!
-//! whose product is the end-to-end Table 1 speedup.
+//! Times the Newton kernel (split linear/nonlinear stamping + memoized,
+//! zero-allocation dense LU), the full characterization transient, Table 1
+//! serial and on every available thread, a cold-then-warm Table 1 over a
+//! throwaway persistent store, and a small Monte Carlo campaign.
 //!
 //! Wall-clock timings take the minimum over a few repetitions: the
 //! benchmark does identical work every repetition, so the minimum is the
@@ -30,35 +19,28 @@ use obd_core::characterize::{
     characterize_table1, characterize_table1_cached, measure_cell_transition_with_options,
     BenchConfig, Fig5Bench,
 };
-use obd_core::fixtures::{measure_fixture_transition_with_options, mna_unknowns, MultiCellBench};
 use obd_core::monte::{run_monte, MonteConfig};
 use obd_core::ObdError;
 use obd_logic::netlist::GateKind;
 use obd_spice::devices::{EvalCtx, Integration, SourceWave};
 use obd_spice::engine::Solver;
-use obd_spice::{SimOptions, SolverKind};
+use obd_spice::SimOptions;
 use obd_store::Store;
 
 /// Throughput report for the analog substrate.
 #[derive(Debug, Clone)]
 pub struct SpiceBenchReport {
-    /// ns per Newton iteration (assembly + LU) on the optimized kernel.
+    /// ns per Newton iteration (assembly + LU).
     pub newton_ns_per_iter: f64,
-    /// ns per Newton iteration on the reference kernel.
-    pub newton_ref_ns_per_iter: f64,
-    /// Iterations behind the optimized estimate.
+    /// Iterations behind the estimate.
     pub newton_iters: u64,
-    /// Full characterization transients per second, optimized kernel.
+    /// Full characterization transients per second.
     pub transients_per_sec: f64,
-    /// Full characterization transients per second, reference kernel.
-    pub transients_per_sec_ref: f64,
-    /// Transients behind the optimized estimate.
+    /// Transients behind the estimate.
     pub transient_count: u64,
-    /// Table 1 wall time on the reference kernel, single-threaded (s).
-    pub table1_reference_s: f64,
-    /// Table 1 wall time on the optimized kernel, single-threaded (s).
+    /// Table 1 wall time, single-threaded (s).
     pub table1_serial_s: f64,
-    /// Table 1 wall time on the optimized kernel, `table1_threads` workers (s).
+    /// Table 1 wall time on `table1_threads` workers (s).
     pub table1_parallel_s: f64,
     /// Worker count used for the parallel run.
     pub table1_threads: usize,
@@ -70,19 +52,6 @@ pub struct SpiceBenchReport {
     pub warm_store_hits: u64,
     /// Whether the warm table is byte-identical to the cold one.
     pub warm_byte_identical: bool,
-    /// MNA unknowns of the multi-cell fixture used for the sparse contrast.
-    pub sparse_fixture_unknowns: usize,
-    /// Full Table 1 wall time with the dense backend forced (s).
-    pub sparse_table1_dense_s: f64,
-    /// Full Table 1 wall time with the sparse backend forced (s).
-    pub sparse_table1_sparse_s: f64,
-    /// Full-adder fixture transient wall time, dense backend (s).
-    pub sparse_fixture_dense_s: f64,
-    /// Full-adder fixture transient wall time, sparse backend (s).
-    pub sparse_fixture_sparse_s: f64,
-    /// Whether the forced-dense and forced-sparse runs produced the exact
-    /// same f64 bit patterns (Table 1 grid and fixture outcome).
-    pub sparse_byte_identical: bool,
     /// Monte Carlo corners sampled for the throughput section.
     pub monte_samples: usize,
     /// Probes measured per corner.
@@ -94,30 +63,14 @@ pub struct SpiceBenchReport {
 }
 
 impl SpiceBenchReport {
-    /// Reference serial → optimized serial.
-    pub fn kernel_speedup(&self) -> f64 {
-        self.table1_reference_s / self.table1_serial_s
-    }
-
-    /// Optimized serial → optimized parallel.
+    /// Serial → parallel Table 1.
     pub fn thread_speedup(&self) -> f64 {
         self.table1_serial_s / self.table1_parallel_s
-    }
-
-    /// Reference serial → optimized parallel: the end-to-end number.
-    pub fn total_speedup(&self) -> f64 {
-        self.table1_reference_s / self.table1_parallel_s
     }
 
     /// Cold (store-populating) → warm (store-served) rerun.
     pub fn warm_speedup(&self) -> f64 {
         self.table1_cold_s / self.table1_warm_s
-    }
-
-    /// Dense → sparse on the multi-cell fixture, where the CSR backend is
-    /// the right choice; the NAND-sized Table 1 stays dense territory.
-    pub fn sparse_speedup(&self) -> f64 {
-        self.sparse_fixture_dense_s / self.sparse_fixture_sparse_s
     }
 
     /// Monte Carlo corners per second.
@@ -131,16 +84,17 @@ impl SpiceBenchReport {
     }
 }
 
-/// Times the Newton kernel under `opts`: a warm solver on the Fig. 5
-/// bench circuit, re-solved from the operating point under a transient
-/// context. Returns (ns/iteration, iterations timed).
-fn newton_kernel(tech: &TechParams, opts: &SimOptions) -> Result<(f64, u64), ObdError> {
+/// Times the Newton kernel: a warm solver on the Fig. 5 bench circuit,
+/// re-solved from the operating point under a transient context. Returns
+/// (ns/iteration, iterations timed).
+fn newton_kernel(tech: &TechParams) -> Result<(f64, u64), ObdError> {
     let bench = Fig5Bench::new()?;
     let mut exp = expand(&bench.netlist, tech)?;
     exp.drive_input(bench.pis[0], SourceWave::dc(0.0));
     exp.drive_input(bench.pis[1], SourceWave::dc(tech.vdd));
 
-    let mut solver = Solver::new(&exp.circuit, opts)?;
+    let opts = SimOptions::new();
+    let mut solver = Solver::new(&exp.circuit, &opts)?;
     let ctx = EvalCtx {
         time: 1e-9,
         source_scale: 1.0,
@@ -168,12 +122,9 @@ fn newton_kernel(tech: &TechParams, opts: &SimOptions) -> Result<(f64, u64), Obd
 }
 
 /// Times the full two-pattern characterization transient (fault-free
-/// fall on the NAND bench) under `opts`.
-fn transient_kernel(
-    tech: &TechParams,
-    cfg: &BenchConfig,
-    opts: &SimOptions,
-) -> Result<(f64, u64), ObdError> {
+/// fall on the NAND bench).
+fn transient_kernel(tech: &TechParams, cfg: &BenchConfig) -> Result<(f64, u64), ObdError> {
+    let opts = SimOptions::new();
     let measure = || {
         measure_cell_transition_with_options(
             tech,
@@ -182,7 +133,7 @@ fn transient_kernel(
             [false, true],
             [true, true],
             cfg,
-            opts,
+            &opts,
         )
     };
     measure()?;
@@ -199,57 +150,30 @@ fn transient_kernel(
 /// measurements; the paper resolution (`BenchConfig::table1()`) is the
 /// honest setting, coarser ones just run faster.
 pub fn run(tech: &TechParams, cfg: &BenchConfig) -> Result<SpiceBenchReport, ObdError> {
-    let fast = SimOptions::new();
-    let reference = SimOptions::new().with_reference_kernel();
-    // The pre-overhaul driver simulated the full observation window even
-    // when an at-speed capture limit already decided every outcome.
-    let ref_cfg = BenchConfig {
-        sim_full_window: true,
-        ..cfg.clone()
-    };
-
-    let (newton_ns_per_iter, newton_iters) = newton_kernel(tech, &fast)?;
-    let (newton_ref_ns_per_iter, _) = newton_kernel(tech, &reference)?;
-    let (transients_per_sec, transient_count) = transient_kernel(tech, cfg, &fast)?;
-    let (transients_per_sec_ref, _) = transient_kernel(tech, &ref_cfg, &reference)?;
+    let opts = SimOptions::new();
+    let (newton_ns_per_iter, newton_iters) = newton_kernel(tech)?;
+    let (transients_per_sec, transient_count) = transient_kernel(tech, cfg)?;
 
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     const REPS: usize = 3;
-    let mut table1_reference_s = f64::INFINITY;
     let mut table1_serial_s = f64::INFINITY;
     let mut table1_parallel_s = f64::INFINITY;
-    let mut baseline = None;
     let mut serial = None;
     let mut parallel = None;
     for _ in 0..REPS {
-        let t0 = Instant::now();
-        baseline = Some(characterize_table1(tech, &ref_cfg, &reference, 1)?);
-        table1_reference_s = table1_reference_s.min(t0.elapsed().as_secs_f64());
         let t1 = Instant::now();
-        serial = Some(characterize_table1(tech, cfg, &fast, 1)?);
+        serial = Some(characterize_table1(tech, cfg, &opts, 1)?);
         table1_serial_s = table1_serial_s.min(t1.elapsed().as_secs_f64());
         let t2 = Instant::now();
-        parallel = Some(characterize_table1(tech, cfg, &fast, threads)?);
+        parallel = Some(characterize_table1(tech, cfg, &opts, threads)?);
         table1_parallel_s = table1_parallel_s.min(t2.elapsed().as_secs_f64());
     }
-    let (baseline, serial, parallel) = (
-        baseline.expect("REPS > 0"),
-        serial.expect("REPS > 0"),
-        parallel.expect("REPS > 0"),
-    );
+    let (serial, parallel) = (serial.expect("REPS > 0"), parallel.expect("REPS > 0"));
 
     assert_eq!(
         serial.render(),
         parallel.render(),
         "serial and parallel Table 1 must agree"
-    );
-    // The kernels differ only in assembly order/refinement policy, and the
-    // capture-limited window never flips a verdict, so the rendered tables
-    // must agree too (delays are printed rounded).
-    assert_eq!(
-        baseline.render(),
-        serial.render(),
-        "reference and optimized kernels must regenerate the same Table 1"
     );
 
     // Warm-start benchmark: one cold Table 1 populating a throwaway
@@ -277,67 +201,6 @@ pub fn run(tech: &TechParams, cfg: &BenchConfig) -> Result<SpiceBenchReport, Obd
     );
     let warm_byte_identical = format!("{cold_table:?}") == format!("{warm_table:?}");
 
-    // Sparse-vs-dense contrast. The forced-backend Table 1 runs prove the
-    // bit-identity claim at characterization scale (and show dense is the
-    // right call for a single NAND cell); the multi-cell full-adder
-    // fixture is where the CSR backend actually earns its keep, so the
-    // headline sparse speedup is measured there.
-    let dense_opts = SimOptions::new().with_solver(SolverKind::Dense);
-    let sparse_opts = SimOptions::new().with_solver(SolverKind::Sparse);
-    let t5 = Instant::now();
-    let table_dense = characterize_table1(tech, cfg, &dense_opts, threads)?;
-    let sparse_table1_dense_s = t5.elapsed().as_secs_f64();
-    let t6 = Instant::now();
-    let table_sparse = characterize_table1(tech, cfg, &sparse_opts, threads)?;
-    let sparse_table1_sparse_s = t6.elapsed().as_secs_f64();
-    let mut sparse_byte_identical = table_dense.bit_identical(&table_sparse);
-
-    let fixture = MultiCellBench::full_adder()?;
-    let sparse_fixture_unknowns = {
-        let mut exp = expand(&fixture.netlist, tech)?;
-        for &pi in &fixture.pis {
-            exp.drive_input(pi, SourceWave::dc(0.0));
-        }
-        mna_unknowns(&exp.circuit)
-    };
-    let fixture_cfg = BenchConfig {
-        at_speed_ps: None,
-        ..cfg.clone()
-    };
-    let v1 = [true, false, false];
-    let v2 = [true, true, false];
-    let mut sparse_fixture_dense_s = f64::INFINITY;
-    let mut sparse_fixture_sparse_s = f64::INFINITY;
-    let mut fixture_outcomes = None;
-    for _ in 0..REPS {
-        let t = Instant::now();
-        let od = measure_fixture_transition_with_options(
-            tech,
-            &fixture,
-            None,
-            &v1,
-            &v2,
-            &fixture_cfg,
-            &dense_opts,
-        )?;
-        sparse_fixture_dense_s = sparse_fixture_dense_s.min(t.elapsed().as_secs_f64());
-        let t = Instant::now();
-        let os = measure_fixture_transition_with_options(
-            tech,
-            &fixture,
-            None,
-            &v1,
-            &v2,
-            &fixture_cfg,
-            &sparse_opts,
-        )?;
-        sparse_fixture_sparse_s = sparse_fixture_sparse_s.min(t.elapsed().as_secs_f64());
-        fixture_outcomes = Some((od, os));
-    }
-    if let Some((od, os)) = fixture_outcomes {
-        sparse_byte_identical &= od.bits_eq(os);
-    }
-
     // Monte Carlo throughput: a small campaign at the bench resolution,
     // sized to time the fan-out rather than characterize the spread.
     let monte_cfg = MonteConfig {
@@ -355,12 +218,9 @@ pub fn run(tech: &TechParams, cfg: &BenchConfig) -> Result<SpiceBenchReport, Obd
 
     Ok(SpiceBenchReport {
         newton_ns_per_iter,
-        newton_ref_ns_per_iter,
         newton_iters,
         transients_per_sec,
-        transients_per_sec_ref,
         transient_count,
-        table1_reference_s,
         table1_serial_s,
         table1_parallel_s,
         table1_threads: threads,
@@ -368,12 +228,6 @@ pub fn run(tech: &TechParams, cfg: &BenchConfig) -> Result<SpiceBenchReport, Obd
         table1_warm_s,
         warm_store_hits: warm_cache.store_hits(),
         warm_byte_identical,
-        sparse_fixture_unknowns,
-        sparse_table1_dense_s,
-        sparse_table1_sparse_s,
-        sparse_fixture_dense_s,
-        sparse_fixture_sparse_s,
-        sparse_byte_identical,
         monte_samples: monte.samples,
         monte_probes: monte.probes.len(),
         monte_threads: threads,
@@ -387,32 +241,19 @@ pub fn to_json(r: &SpiceBenchReport) -> String {
     format!(
         concat!(
             "{{\n",
-            "  \"newton\": {{ \"ns_per_iter\": {:.2}, \"ns_per_iter_reference\": {:.2}, \"iterations\": {} }},\n",
-            "  \"transient\": {{ \"per_sec\": {:.3}, \"per_sec_reference\": {:.3}, \"count\": {} }},\n",
+            "  \"newton\": {{ \"ns_per_iter\": {:.2}, \"iterations\": {} }},\n",
+            "  \"transient\": {{ \"per_sec\": {:.3}, \"count\": {} }},\n",
             "  \"table1\": {{\n",
-            "    \"reference_serial_s\": {:.4},\n",
             "    \"optimized_serial_s\": {:.4},\n",
             "    \"optimized_parallel_s\": {:.4},\n",
             "    \"threads\": {},\n",
-            "    \"kernel_speedup\": {:.3},\n",
-            "    \"thread_speedup\": {:.3},\n",
-            "    \"total_speedup\": {:.3}\n",
+            "    \"thread_speedup\": {:.3}\n",
             "  }},\n",
             "  \"store\": {{\n",
             "    \"cold_s\": {:.6},\n",
             "    \"warm_s\": {:.6},\n",
             "    \"warm_speedup\": {:.3},\n",
             "    \"warm_store_hits\": {},\n",
-            "    \"byte_identical\": {}\n",
-            "  }},\n",
-            "  \"sparse\": {{\n",
-            "    \"fixture\": \"full_adder\",\n",
-            "    \"unknowns\": {},\n",
-            "    \"table1_dense_s\": {:.4},\n",
-            "    \"table1_sparse_s\": {:.4},\n",
-            "    \"fixture_dense_s\": {:.4},\n",
-            "    \"fixture_sparse_s\": {:.4},\n",
-            "    \"speedup\": {:.3},\n",
             "    \"byte_identical\": {}\n",
             "  }},\n",
             "  \"monte\": {{\n",
@@ -426,30 +267,18 @@ pub fn to_json(r: &SpiceBenchReport) -> String {
             "}}\n"
         ),
         r.newton_ns_per_iter,
-        r.newton_ref_ns_per_iter,
         r.newton_iters,
         r.transients_per_sec,
-        r.transients_per_sec_ref,
         r.transient_count,
-        r.table1_reference_s,
         r.table1_serial_s,
         r.table1_parallel_s,
         r.table1_threads,
-        r.kernel_speedup(),
         r.thread_speedup(),
-        r.total_speedup(),
         r.table1_cold_s,
         r.table1_warm_s,
         r.warm_speedup(),
         r.warm_store_hits,
         r.warm_byte_identical,
-        r.sparse_fixture_unknowns,
-        r.sparse_table1_dense_s,
-        r.sparse_table1_sparse_s,
-        r.sparse_fixture_dense_s,
-        r.sparse_fixture_sparse_s,
-        r.sparse_speedup(),
-        r.sparse_byte_identical,
         r.monte_samples,
         r.monte_probes,
         r.monte_threads,
@@ -463,37 +292,25 @@ pub fn to_json(r: &SpiceBenchReport) -> String {
 pub fn render(r: &SpiceBenchReport) -> String {
     format!(
         concat!(
-            "  newton kernel     : {:.1} ns/iter optimized vs {:.1} ns/iter reference ({} iters timed)\n",
-            "  transient         : {:.2}/s optimized vs {:.2}/s reference ({} timed)\n",
-            "  table1 end-to-end : reference {:.2} s, optimized serial {:.2} s, parallel {:.2} s on {} threads\n",
-            "  speedup           : kernel {:.2}x, threads {:.2}x, total {:.2}x\n",
+            "  newton kernel     : {:.1} ns/iter ({} iters timed)\n",
+            "  transient         : {:.2}/s ({} timed)\n",
+            "  table1 end-to-end : serial {:.2} s, parallel {:.2} s on {} threads ({:.2}x)\n",
             "  warm start        : cold {:.3} s, warm {:.6} s ({:.0}x, {} store hits, byte-identical: {})\n",
-            "  sparse backend    : full adder ({} unknowns) dense {:.4} s vs sparse {:.4} s ({:.2}x, bit-identical: {})\n",
             "  monte carlo       : {} corners x {} probes on {} threads in {:.2} s ({:.2} corners/s)"
         ),
         r.newton_ns_per_iter,
-        r.newton_ref_ns_per_iter,
         r.newton_iters,
         r.transients_per_sec,
-        r.transients_per_sec_ref,
         r.transient_count,
-        r.table1_reference_s,
         r.table1_serial_s,
         r.table1_parallel_s,
         r.table1_threads,
-        r.kernel_speedup(),
         r.thread_speedup(),
-        r.total_speedup(),
         r.table1_cold_s,
         r.table1_warm_s,
         r.warm_speedup(),
         r.warm_store_hits,
         r.warm_byte_identical,
-        r.sparse_fixture_unknowns,
-        r.sparse_fixture_dense_s,
-        r.sparse_fixture_sparse_s,
-        r.sparse_speedup(),
-        r.sparse_byte_identical,
         r.monte_samples,
         r.monte_probes,
         r.monte_threads,
@@ -510,12 +327,9 @@ mod tests {
     fn json_shape_is_stable() {
         let r = SpiceBenchReport {
             newton_ns_per_iter: 1234.5,
-            newton_ref_ns_per_iter: 4321.0,
             newton_iters: 1000,
             transients_per_sec: 12.25,
-            transients_per_sec_ref: 5.0,
             transient_count: 37,
-            table1_reference_s: 20.0,
             table1_serial_s: 10.0,
             table1_parallel_s: 2.5,
             table1_threads: 8,
@@ -523,36 +337,25 @@ mod tests {
             table1_warm_s: 0.5,
             warm_store_hits: 100,
             warm_byte_identical: true,
-            sparse_fixture_unknowns: 42,
-            sparse_table1_dense_s: 3.0,
-            sparse_table1_sparse_s: 4.0,
-            sparse_fixture_dense_s: 0.6,
-            sparse_fixture_sparse_s: 0.2,
-            sparse_byte_identical: true,
             monte_samples: 6,
             monte_probes: 4,
             monte_threads: 8,
             monte_wall_s: 3.0,
         };
-        assert_eq!(r.kernel_speedup(), 2.0);
         assert_eq!(r.thread_speedup(), 4.0);
-        assert_eq!(r.total_speedup(), 8.0);
         assert_eq!(r.warm_speedup(), 20.0);
-        assert!((r.sparse_speedup() - 3.0).abs() < 1e-12);
         assert_eq!(r.monte_corners_per_sec(), 2.0);
         assert_eq!(r.monte_measurements_per_sec(), 8.0);
         let j = to_json(&r);
         assert!(j.contains("\"ns_per_iter\": 1234.50"));
-        assert!(j.contains("\"total_speedup\": 8.000"));
+        assert!(j.contains("\"thread_speedup\": 4.000"));
         assert!(j.contains("\"warm_store_hits\": 100"));
         assert!(j.contains("\"byte_identical\": true"));
-        assert!(j.contains("\"fixture\": \"full_adder\""));
-        assert!(j.contains("\"speedup\": 3.000"));
         assert!(j.contains("\"corners_per_sec\": 2.000"));
         assert!(j.starts_with('{') && j.trim_end().ends_with('}'));
         // Balanced braces — the artifact must stay machine-parseable.
         let open = j.matches('{').count();
         assert_eq!(open, j.matches('}').count());
-        assert_eq!(open, 7);
+        assert_eq!(open, 6);
     }
 }

@@ -100,8 +100,9 @@ pub struct BenchConfig {
     /// limit is set. Off by default: with a capture limit, every outcome
     /// is decided shortly after the capture instant (a later crossing is
     /// "stuck" by definition), so the transient normally stops there —
-    /// same table, a fraction of the steps. The benchmark harness turns
-    /// this on to reproduce the pre-optimization driver.
+    /// same table, a fraction of the steps. Its only setter is the
+    /// measurement layer's full-window escalation, which reruns a cell
+    /// whose trimmed window left the verdict undecided.
     pub sim_full_window: bool,
 }
 

@@ -1,17 +1,16 @@
-//! Multi-cell characterization fixtures — netlists big enough to exercise
-//! the sparse MNA path.
+//! Multi-cell characterization fixtures — a breakdown site inside real
+//! multi-cell loading.
 //!
 //! The Fig. 5 bench is a single NAND2 with inverter drivers (≈ 15 MNA
-//! unknowns), which the auto solver keeps on the dense kernel. These
-//! fixtures embed a breakdown site in substantially larger surroundings:
+//! unknowns). These fixtures embed a breakdown site in substantially
+//! larger surroundings:
 //!
 //! * [`MultiCellBench::nand_context`] — the NAND2 device under test
 //!   driven through four-inverter fanin chains and loaded by a real
 //!   NAND/inverter fanout tree, so the defect's injected current interacts
 //!   with several stages of real CMOS on both sides.
 //! * [`MultiCellBench::full_adder`] — a transistor-level nine-NAND full
-//!   adder with buffered inputs and loaded outputs (≥ 40 MNA unknowns),
-//!   which crosses the sparse crossover in the default auto solver mode.
+//!   adder with buffered inputs and loaded outputs (42 MNA unknowns).
 //!
 //! Measurements mirror [`crate::characterize`]: two-pattern sequences,
 //! 50 %-crossing delays, stuck detection — but the expected output
@@ -25,8 +24,8 @@ use obd_logic::netlist::{GateId, GateKind, NetId, Netlist};
 use obd_logic::sim::simulate;
 use obd_logic::value::Lv;
 use obd_spice::analysis::tran::{transient_with_options, TranParams};
-use obd_spice::devices::{Device, SourceWave};
-use obd_spice::{Circuit, EdgeKind, SimOptions, Waveform};
+use obd_spice::devices::SourceWave;
+use obd_spice::{EdgeKind, SimOptions, Waveform};
 
 use crate::characterize::{BenchConfig, TransitionOutcome};
 use crate::faultmodel::Polarity;
@@ -112,9 +111,7 @@ impl MultiCellBench {
     /// observed net is the sum output.
     ///
     /// With 26 cells and 9 series pull-down internal nodes this fixture
-    /// reaches 42 MNA unknowns (see [`mna_unknowns`]) — past the default
-    /// sparse crossover, so the auto solver characterizes it on the
-    /// sparse path.
+    /// reaches 42 MNA unknowns.
     ///
     /// # Errors
     ///
@@ -158,17 +155,6 @@ impl MultiCellBench {
     pub fn num_cells(&self) -> usize {
         self.netlist.gates().len()
     }
-}
-
-/// The MNA system dimension of an expanded-and-driven circuit: one row
-/// per non-ground node plus one branch-current row per voltage source.
-pub fn mna_unknowns(ckt: &Circuit) -> usize {
-    let branches = ckt
-        .devices()
-        .iter()
-        .filter(|d| matches!(d, Device::Vsource(_)))
-        .count();
-    ckt.num_nodes() - 1 + branches
 }
 
 /// Expands a fixture, injects an optional defect, drives the two-pattern
@@ -225,7 +211,7 @@ pub fn run_fixture_with_options(
 /// the measured edge is the observed net crossing 50 % in the direction
 /// the logic simulator predicts. Includes the fanin-chain delay by
 /// construction — fixtures compare outcomes relatively (defect versus
-/// fault-free, sparse versus dense), not against Table 1 absolutes.
+/// fault-free), not against Table 1 absolutes.
 ///
 /// # Errors
 ///
@@ -301,7 +287,6 @@ pub fn measure_fixture_transition_with_options(
 mod tests {
     use super::*;
     use crate::stage::BreakdownStage;
-    use obd_spice::SolverKind;
 
     fn fast_cfg() -> BenchConfig {
         BenchConfig {
@@ -312,49 +297,6 @@ mod tests {
             at_speed_ps: None,
             sim_full_window: false,
         }
-    }
-
-    #[test]
-    fn full_adder_fixture_crosses_sparse_threshold() {
-        let fx = MultiCellBench::full_adder().unwrap();
-        assert!(fx.num_cells() >= 3, "cells = {}", fx.num_cells());
-        let tech = TechParams::date05();
-        let mut exp = expand(&fx.netlist, &tech).unwrap();
-        for &pi in &fx.pis {
-            exp.drive_input(pi, SourceWave::dc(0.0));
-        }
-        let dim = mna_unknowns(&exp.circuit);
-        assert!(dim >= 40, "full adder fixture has {dim} MNA unknowns");
-    }
-
-    #[test]
-    fn nand_context_sparse_matches_dense_bitwise() {
-        let fx = MultiCellBench::nand_context().unwrap();
-        let tech = TechParams::date05();
-        let cfg = fast_cfg();
-        let mut outcomes = Vec::new();
-        for kind in [SolverKind::Dense, SolverKind::Sparse] {
-            let opts = SimOptions::new().with_solver(kind);
-            let o = measure_fixture_transition_with_options(
-                &tech,
-                &fx,
-                None,
-                &[false, true],
-                &[true, true],
-                &cfg,
-                &opts,
-            )
-            .unwrap();
-            outcomes.push(o);
-        }
-        let d = |o: TransitionOutcome| o.delay_ps().expect("fixture switches");
-        assert_eq!(
-            d(outcomes[0]).to_bits(),
-            d(outcomes[1]).to_bits(),
-            "dense={:?} sparse={:?}",
-            outcomes[0],
-            outcomes[1]
-        );
     }
 
     #[test]

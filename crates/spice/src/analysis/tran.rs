@@ -150,7 +150,7 @@ pub fn transient_with_options(
         }
         solver.begin_solve_budget();
         let mut stepped = false;
-        if opts.predictor && !first_step {
+        if !first_step {
             // Seed Newton with the linear extrapolation of the last two
             // accepted solutions; a smooth waveform converges from it in
             // fewer iterations than from the previous solution alone.
