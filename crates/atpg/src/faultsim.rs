@@ -25,7 +25,7 @@ use obd_logic::soa::SoaNetlist;
 use obd_logic::value::Lv;
 
 use crate::fault::{DetectionCriterion, Fault, SlowTo, TwoPatternTest};
-use crate::ppsfp::{PpsfpEngine, PpsfpScratch, SUPERLANE_WIDTH};
+use crate::ppsfp::{PpsfpEngine, PpsfpScratch, DROPPING_WIDTH, SUPERLANE_WIDTH};
 use crate::AtpgError;
 use obd_chaos::InjectionPoint;
 use obd_metrics::Counter;
@@ -388,9 +388,10 @@ impl<'a> FaultSimulator<'a> {
     /// detection errors out is marked [`GradeOutcome::Degraded`] and the
     /// campaign continues instead of aborting — the fault is still fully
     /// accounted for in the returned vector. Detected *and* degraded
-    /// faults drop immediately (stop consuming tests).
+    /// faults drop immediately (stop consuming tests), so this too runs
+    /// at [`DROPPING_WIDTH`].
     pub fn grade_degraded(&self, faults: &[Fault], tests: &[TwoPatternTest]) -> Vec<GradeOutcome> {
-        let out = match PpsfpEngine::<SUPERLANE_WIDTH>::prepare(self, tests) {
+        let out = match PpsfpEngine::<DROPPING_WIDTH>::prepare(self, tests) {
             Ok(engine) => engine.grade_degraded(faults, &|| CHAOS_GRADE.fire()),
             // Malformed test sets degrade every fault, as each would hit
             // the same error at its first test in the scalar path.
@@ -404,11 +405,12 @@ impl<'a> FaultSimulator<'a> {
 
     /// Grades a test set against a fault list on `threads` pool workers.
     ///
-    /// Runs on the bit-parallel [`PpsfpEngine`]: good-machine responses
-    /// are computed once per packed block (blocks fanned out over the
-    /// workers), then faults are graded fault-major with dropping, one
-    /// pool job per fault. The result is bit-exact with
-    /// [`FaultSimulator::grade_scalar`] at any thread count.
+    /// Runs on the bit-parallel [`PpsfpEngine`] at [`DROPPING_WIDTH`]
+    /// (64 tests per block): good-machine responses are computed once per
+    /// packed block (blocks fanned out over the workers), then faults are
+    /// graded fault-major with dropping, one pool job per fault. The
+    /// result is bit-exact with [`FaultSimulator::grade_scalar`] at any
+    /// thread count.
     ///
     /// # Errors
     ///
@@ -423,7 +425,7 @@ impl<'a> FaultSimulator<'a> {
         if faults.is_empty() {
             return Ok(Vec::new());
         }
-        let engine = PpsfpEngine::<SUPERLANE_WIDTH>::prepare_with_threads(self, tests, threads)?;
+        let engine = PpsfpEngine::<DROPPING_WIDTH>::prepare_with_threads(self, tests, threads)?;
         let detected = engine.grade_parallel(faults, threads)?;
         FAULTS_GRADED.add(faults.len() as u64);
         FAULTS_DETECTED.add(detected.iter().filter(|&&d| d).count() as u64);
@@ -446,32 +448,9 @@ impl<'a> FaultSimulator<'a> {
         self.grade_parallel(faults, tests, threads)
     }
 
-    /// [`FaultSimulator::grade_parallel`] with an adaptive block width:
-    /// the leading tests grade at width 1 while faults drop fast, and the
-    /// survivors switch to the full super-lane engine once the drop rate
-    /// stabilizes ([`crate::ppsfp::grade_adaptive`]). The detection
-    /// vector is bit-identical with any fixed-width grader.
-    ///
-    /// # Errors
-    ///
-    /// Propagates detection errors from any worker.
-    pub fn grade_adaptive(
-        &self,
-        faults: &[Fault],
-        tests: &[TwoPatternTest],
-        threads: usize,
-    ) -> Result<Vec<bool>, AtpgError> {
-        if faults.is_empty() {
-            return Ok(Vec::new());
-        }
-        let out = crate::ppsfp::grade_adaptive(self, tests, faults, threads)?;
-        FAULTS_GRADED.add(faults.len() as u64);
-        FAULTS_DETECTED.add(out.detected.iter().filter(|&&d| d).count() as u64);
-        Ok(out.detected)
-    }
-
     /// Builds the full detection matrix `matrix[t][f]` for compaction and
-    /// exhaustive analysis, via per-fault packed detection rows.
+    /// exhaustive analysis, via per-fault packed detection rows. Nothing
+    /// drops here, so the rows run at [`SUPERLANE_WIDTH`].
     ///
     /// # Errors
     ///

@@ -8,11 +8,19 @@
 //! structure-of-arrays netlist ([`obd_logic::soa`]). Detection is then
 //! one XOR/OR reduction over the packed primary-output words.
 //!
-//! The engine is generic over the super-lane width `N`
-//! ([`SUPERLANE_WIDTH`] = 8 by default, i.e. 512 patterns per sweep):
-//! every word the hot loop touches is a `[u64; N]` whose elementwise
-//! AND/OR/XOR/popcount the compiler autovectorizes, amortizing the
-//! per-gate walk overhead across eight 64-pattern lanes.
+//! The engine is generic over the super-lane width `N`: every word the
+//! hot loop touches is a `[u64; N]` whose elementwise AND/OR/XOR/popcount
+//! the compiler autovectorizes, amortizing the per-gate walk overhead
+//! across `N` 64-pattern lanes. Which width pays depends on whether the
+//! caller drops faults:
+//!
+//! * Grading with dropping runs at [`DROPPING_WIDTH`] = 1. Most faults
+//!   die in their first block, so a wider block only adds patterns that
+//!   a doomed fault never needed; on drop-heavy campaigns width 1 is
+//!   roughly 2–4× faster than width 8.
+//! * Full detection rows (no dropping) run at [`SUPERLANE_WIDTH`] = 8,
+//!   512 patterns per sweep, because every (fault, test) pair is
+//!   evaluated anyway and the wide words amortize the gate walk.
 //!
 //! Bit-exactness vs the scalar path ([`FaultSimulator::detects`]): the
 //! packed simulator is two-valued (X packs as 0), so only *fully
@@ -29,11 +37,6 @@
 //! cache fills ([`PpsfpEngine::prepare_with_threads`]) as jobs on the
 //! shared work-stealing [`obd_core::pool`], so a large test set does not
 //! serialize the warm-up.
-//!
-//! For drop-heavy campaigns [`grade_adaptive`] picks the width
-//! dynamically: narrow (width-1) rounds while faults are dying fast,
-//! the full super-lane engine once the survivor set stabilizes — same
-//! detection vector either way.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -51,17 +54,15 @@ use crate::fault::{Fault, SlowTo, TwoPatternTest};
 use crate::faultsim::{stuck_output_value, FaultSimulator, GradeOutcome};
 use crate::AtpgError;
 
-/// Default super-lane width: eight 64-bit lanes, 512 patterns per block.
+/// Super-lane width of the no-dropping paths (detection matrices, BIST
+/// detection rows): eight 64-bit lanes, 512 patterns per block.
 pub const SUPERLANE_WIDTH: usize = 8;
 
-/// Narrow warm-up budget of [`grade_adaptive`]: at most this many leading
-/// tests are graded at width 1 before the engine switches to super-lanes.
-pub const ADAPTIVE_WARMUP_TESTS: usize = 256;
-
-/// A narrow round that detects fewer than `1 / ADAPTIVE_STABLE_DIVISOR`
-/// of its surviving faults marks the survivor set as stable: the cheap
-/// drops are over, switch to the wide engine.
-const ADAPTIVE_STABLE_DIVISOR: usize = 16;
+/// Width of every grader with fault dropping: one 64-bit lane, 64
+/// patterns per block. Most faults of a drop-heavy campaign die in their
+/// first block, and a wider block makes each of them pay for patterns it
+/// never needed.
+pub const DROPPING_WIDTH: usize = 1;
 
 /// (fault, block) packed evaluations performed.
 static BLOCKS_GRADED: Counter = Counter::new("atpg.blocks_graded");
@@ -78,12 +79,6 @@ static SUPERLANE_WIDTH_GAUGE: Gauge = Gauge::new("atpg.superlane_width");
 static GOOD_STORE_HITS: Counter = Counter::new("atpg.good_store_hits");
 /// Good-response blocks simulated and written back to the store.
 static GOOD_STORE_MISSES: Counter = Counter::new("atpg.good_store_misses");
-/// Narrow (width-1) warm-up rounds consumed by adaptive grading.
-static ADAPTIVE_NARROW_ROUNDS: Counter = Counter::new("atpg.adaptive_narrow_rounds");
-/// Faults detected (and dropped) during the narrow warm-up rounds.
-static ADAPTIVE_NARROW_DETECTIONS: Counter = Counter::new("atpg.adaptive_narrow_detections");
-/// Faults that survived the warm-up and were handed to the wide engine.
-static ADAPTIVE_WIDE_SURVIVORS: Counter = Counter::new("atpg.adaptive_wide_survivors");
 
 /// One packed block of fully-specified tests with its cached
 /// good-machine responses for both frames.
@@ -100,9 +95,9 @@ struct GoodBlock<const N: usize> {
     mask: LaneWord<N>,
     /// Lane → original test index.
     tests: Vec<usize>,
-    /// Whether any fault has been graded against this block yet (first
-    /// evaluation pays for the good sims conceptually; the rest are
-    /// cache hits).
+    /// Whether any fault has been graded against this block yet while
+    /// metrics were on (first evaluation pays for the good sims
+    /// conceptually; the rest are cache hits).
     touched: AtomicBool,
 }
 
@@ -605,12 +600,17 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
         }
     }
 
-    /// Counts the block against the grading metrics and reports whether
-    /// its good response was already cached by an earlier fault.
+    /// Counts the block against the grading metrics, and as a cache hit
+    /// when an earlier fault already touched it. The shared `touched`
+    /// flag is written only while metrics are on: every worker grades
+    /// block 0 first, and an unconditional swap would bounce its cache
+    /// line between them once per fault.
     fn touch(blk: &GoodBlock<N>) {
-        BLOCKS_GRADED.inc();
-        if blk.touched.swap(true, Ordering::Relaxed) {
-            GOOD_SIM_CACHE_HITS.inc();
+        if obd_metrics::enabled() {
+            BLOCKS_GRADED.inc();
+            if blk.touched.swap(true, Ordering::Relaxed) {
+                GOOD_SIM_CACHE_HITS.inc();
+            }
         }
     }
 
@@ -760,123 +760,4 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
         }
         GradeOutcome::Undetected
     }
-}
-
-/// Outcome of one [`grade_adaptive`] campaign.
-#[derive(Debug, Clone)]
-pub struct AdaptiveGrade {
-    /// Per-fault detection flags, in fault order — bit-identical with
-    /// [`PpsfpEngine::grade`] at any fixed width.
-    pub detected: Vec<bool>,
-    /// Narrow (width-1) rounds consumed before the switch.
-    pub narrow_rounds: usize,
-    /// Faults detected (and dropped) during the narrow rounds.
-    pub narrow_detections: usize,
-    /// Survivors handed to the wide engine; zero when the warm-up settled
-    /// every fault on its own.
-    pub wide_survivors: usize,
-}
-
-/// Adaptive-width grading for drop-heavy campaigns.
-///
-/// Early in a grading campaign most faults die on their first block: a
-/// random two-pattern set detects the easy bulk of the fault list within
-/// a few dozen tests, and evaluating those doomed faults against a full
-/// `64 * N`-lane super-block wastes `N`× the packed work their first 64
-/// tests would have needed. This grader therefore starts *narrow*: the
-/// leading [`ADAPTIVE_WARMUP_TESTS`] tests are packed at width 1 and
-/// graded one 64-test round at a time with dropping. After any round
-/// that detects fewer than 1/16 of its surviving faults — the survivor
-/// set has stabilized and further narrow rounds would just re-prove
-/// hard faults undetected 64 lanes at a time — the survivors switch to
-/// the full [`SUPERLANE_WIDTH`] engine over the whole test set, graded
-/// with the work-stealing parallel driver.
-///
-/// The survivors' wide pass re-checks the warm-up prefix (it is at most
-/// half of one wide block), so the result is a plain union of genuine
-/// detections: the returned vector is bit-identical with single-width
-/// grading at any width and any thread count. When the warm-up covers
-/// the entire test set — every narrow block consumed, no X-bearing
-/// scalar fallback — the wide phase is skipped outright.
-///
-/// # Errors
-///
-/// Propagates packing, planning and detection errors.
-pub fn grade_adaptive(
-    sim: &FaultSimulator<'_>,
-    tests: &[TwoPatternTest],
-    faults: &[Fault],
-    threads: usize,
-) -> Result<AdaptiveGrade, AtpgError> {
-    let mut detected = vec![false; faults.len()];
-    if faults.is_empty() || tests.is_empty() {
-        return Ok(AdaptiveGrade {
-            detected,
-            narrow_rounds: 0,
-            narrow_detections: 0,
-            wide_survivors: 0,
-        });
-    }
-    let warmup = tests.len().min(ADAPTIVE_WARMUP_TESTS);
-    let narrow = PpsfpEngine::<1>::prepare(sim, &tests[..warmup])?;
-    let mut scratch = PpsfpScratch::<1>::default();
-    let mut survivors: Vec<(usize, FaultPlan<'_, 1>)> = faults
-        .iter()
-        .enumerate()
-        .map(|(i, f)| narrow.plan(f).map(|p| (i, p)))
-        .collect::<Result<_, _>>()?;
-    let mut narrow_rounds = 0usize;
-    let mut narrow_detections = 0usize;
-    for blk in &narrow.blocks {
-        if survivors.is_empty() {
-            break;
-        }
-        let before = survivors.len();
-        let mut kept = Vec::with_capacity(before);
-        for (i, plan) in survivors.drain(..) {
-            PpsfpEngine::touch(blk);
-            if narrow.detect_mask(&plan, blk, &mut scratch)?.any() {
-                detected[i] = true;
-                narrow_detections += 1;
-            } else {
-                kept.push((i, plan));
-            }
-        }
-        survivors = kept;
-        narrow_rounds += 1;
-        ADAPTIVE_NARROW_ROUNDS.inc();
-        let dropped = before - survivors.len();
-        if dropped * ADAPTIVE_STABLE_DIVISOR < before {
-            break;
-        }
-    }
-    ADAPTIVE_NARROW_DETECTIONS.add(narrow_detections as u64);
-    let settled = survivors.is_empty()
-        || (warmup == tests.len()
-            && narrow.scalar_tests.is_empty()
-            && narrow_rounds == narrow.blocks.len());
-    if settled {
-        return Ok(AdaptiveGrade {
-            detected,
-            narrow_rounds,
-            narrow_detections,
-            wide_survivors: 0,
-        });
-    }
-    let indices: Vec<usize> = survivors.iter().map(|&(i, _)| i).collect();
-    drop(survivors);
-    let subset: Vec<Fault> = indices.iter().map(|&i| faults[i]).collect();
-    ADAPTIVE_WIDE_SURVIVORS.add(subset.len() as u64);
-    let wide = PpsfpEngine::<SUPERLANE_WIDTH>::prepare_with_threads(sim, tests, threads)?;
-    for (&i, hit) in indices.iter().zip(wide.grade_parallel(&subset, threads)?) {
-        if hit {
-            detected[i] = true;
-        }
-    }
-    Ok(AdaptiveGrade {
-        detected,
-        narrow_rounds,
-        narrow_detections,
-        wide_survivors: indices.len(),
-    })
 }

@@ -1,18 +1,21 @@
 //! Proves the packed grading inner loop is allocation-free in steady
 //! state: once an engine and a scratch arena are warm, grading any
 //! number of faults against the packed blocks must not touch the heap.
+//! The metrics the engine publishes when recording is on (grading
+//! counters, the prepared width) are pinned here too.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use obd_atpg::bist::run_bist;
 use obd_atpg::fault::{em_faults, obd_faults, stuck_at_faults, transition_faults, Fault};
 use obd_atpg::faultsim::FaultSimulator;
-use obd_atpg::ppsfp::{PpsfpEngine, PpsfpScratch, SUPERLANE_WIDTH};
+use obd_atpg::ppsfp::{PpsfpEngine, PpsfpScratch, DROPPING_WIDTH, SUPERLANE_WIDTH};
 use obd_atpg::random::random_two_pattern;
 use obd_core::BreakdownStage;
-use obd_logic::circuits::c17;
+use obd_logic::circuits::{c17, fig8_sum_circuit};
 use obd_logic::netlist::Netlist;
 
 /// Counts heap operations from the measured thread while `COUNTING` is
@@ -153,5 +156,60 @@ fn enabled_metrics_sit_on_the_graded_path() {
     assert!(
         after.gauge("logic.levels").unwrap_or(0.0) > 0.0,
         "c17 has depth"
+    );
+}
+
+/// The width policy, read back from the `atpg.superlane_width` gauge:
+/// every grader with dropping prepares a width-1 engine, and the
+/// no-dropping paths (detection matrix, BIST detection row) a
+/// `SUPERLANE_WIDTH` one. Each grader runs right after a wide path, so a
+/// dropping grader that went back to the wide engine leaves the gauge at
+/// 8 and fails here.
+#[test]
+fn width_gauge_follows_the_dropping_policy() {
+    let _guard = TEST_LOCK.lock().unwrap();
+    obd_metrics::enable();
+
+    let nl = fig8_sum_circuit();
+    let sim = FaultSimulator::new(&nl).unwrap();
+    let faults = mixed_faults(&nl);
+    let tests = random_two_pattern(nl.inputs().len(), 130, 0x3D);
+    let width = || obd_metrics::snapshot().gauge("atpg.superlane_width");
+    let graders: [(&str, &dyn Fn()); 4] = [
+        ("grade", &|| drop(sim.grade(&faults, &tests).unwrap())),
+        ("grade_parallel", &|| {
+            drop(sim.grade_parallel(&faults, &tests, 3).unwrap())
+        }),
+        ("grade_auto", &|| {
+            drop(sim.grade_auto(&faults, &tests).unwrap())
+        }),
+        ("grade_degraded", &|| {
+            drop(sim.grade_degraded(&faults, &tests))
+        }),
+    ];
+    for (name, grade) in graders {
+        sim.detection_matrix(&faults, &tests).unwrap();
+        assert_eq!(width(), Some(SUPERLANE_WIDTH as f64), "detection_matrix");
+        grade();
+        assert_eq!(width(), Some(1.0), "{name}");
+        run_bist(&nl, Some(&faults[0]), &tests).unwrap();
+        assert_eq!(width(), Some(SUPERLANE_WIDTH as f64), "BIST detection row");
+    }
+
+    // The cache-hit counter stays exact under threads: on a fresh engine
+    // every evaluation but each block's first is a hit, and an
+    // undetectable fault makes sure every block is touched.
+    let engine = PpsfpEngine::<DROPPING_WIDTH>::prepare(&sim, &tests).unwrap();
+    let before = obd_metrics::snapshot();
+    let detected = engine.grade_parallel(&faults, 3).unwrap();
+    let after = obd_metrics::snapshot();
+    assert!(
+        detected.contains(&false),
+        "fig8 has redundant, undetectable faults"
+    );
+    let delta = |name: &str| after.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0);
+    assert_eq!(
+        delta("atpg.good_sim_cache_hits"),
+        delta("atpg.blocks_graded") - engine.num_blocks() as u64
     );
 }

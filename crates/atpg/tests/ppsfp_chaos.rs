@@ -8,6 +8,7 @@ use std::sync::Mutex;
 
 use obd_atpg::fault::{obd_faults, stuck_at_faults};
 use obd_atpg::faultsim::FaultSimulator;
+use obd_atpg::ppsfp::{PpsfpEngine, DROPPING_WIDTH};
 use obd_atpg::random::random_two_pattern;
 use obd_core::BreakdownStage;
 use obd_logic::circuits::fig8_sum_circuit;
@@ -26,9 +27,11 @@ fn degraded_fault_stops_consuming_tests() {
     let nl = fig8_sum_circuit();
     let sim = FaultSimulator::new(&nl).unwrap();
     let faults = obd_faults(&nl, BreakdownStage::Mbd2, true);
-    // 300 tests -> 5 packed blocks; without dropping a rate-1000
-    // campaign would inject once per (fault, block).
+    // 300 tests -> 5 packed blocks at the dropping width; without
+    // dropping a rate-1000 campaign would inject once per (fault, block).
     let tests = random_two_pattern(nl.inputs().len(), 300, 9);
+    let engine = PpsfpEngine::<DROPPING_WIDTH>::prepare(&sim, &tests).unwrap();
+    assert_eq!(engine.num_blocks(), 5);
 
     obd_chaos::arm(0xC0FFEE, 1000);
     let before_degraded = obd_metrics::snapshot()

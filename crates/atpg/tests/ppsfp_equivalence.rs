@@ -11,7 +11,7 @@ use obd_atpg::fault::{
     em_faults, obd_faults, stuck_at_faults, transition_faults, Fault, TwoPatternTest,
 };
 use obd_atpg::faultsim::FaultSimulator;
-use obd_atpg::ppsfp::{PpsfpEngine, PpsfpScratch, SUPERLANE_WIDTH};
+use obd_atpg::ppsfp::{PpsfpEngine, PpsfpScratch, DROPPING_WIDTH, SUPERLANE_WIDTH};
 use obd_atpg::random::random_two_pattern;
 use obd_atpg::AtpgError;
 use obd_core::BreakdownStage;
@@ -48,10 +48,10 @@ fn packed_grade_matches_scalar_at_block_boundaries() {
         let faults = mixed_faults(&nl);
         for (seed, count) in [(11u64, 1usize), (12, 63), (13, 64), (14, 65), (15, 130)] {
             let tests = random_two_pattern(nl.inputs().len(), count, seed);
-            let engine = PpsfpEngine::<SUPERLANE_WIDTH>::prepare(&sim, &tests).unwrap();
+            let engine = PpsfpEngine::<DROPPING_WIDTH>::prepare(&sim, &tests).unwrap();
             assert_eq!(
                 engine.num_blocks(),
-                count.div_ceil(64 * SUPERLANE_WIDTH),
+                count.div_ceil(64 * DROPPING_WIDTH),
                 "{name}/{count}"
             );
             assert_eq!(engine.scalar_fallback_tests(), 0, "{name}/{count}");
@@ -108,7 +108,8 @@ fn width_4_matches_scalar_at_its_boundaries() {
     sweep_width::<4>(&[1, 255, 256, 257]);
 }
 
-/// N=8 (the default) blocks hold 512 patterns; straddle that boundary.
+/// N=8 (the no-dropping width) blocks hold 512 patterns; straddle that
+/// boundary.
 #[test]
 fn width_8_matches_scalar_at_its_boundaries() {
     sweep_width::<8>(&[1, 511, 512, 513]);
@@ -135,119 +136,61 @@ fn loop_order_unified_across_all_graders() {
     assert_eq!(sim.grade_auto(&faults, &tests).unwrap(), scalar);
 }
 
-/// Satellite: the adaptive-width grader (narrow warm-up rounds, then
-/// super-lanes for the stabilized survivor set) produces detection
-/// vectors bit-identical with fixed-width grading — across circuits,
-/// test counts straddling the warm-up budget, and thread counts.
+/// The dropping graders across many width-1 blocks: `grade_parallel`
+/// at every thread count equals the scalar reference on a 320-test set
+/// (5 blocks), including a fault that only the last block detects and a
+/// partially X-bearing copy of the set.
 #[test]
-fn adaptive_grade_matches_fixed_width_detection_vectors() {
+fn multi_block_grade_parallel_matches_scalar() {
     for (name, nl) in circuits() {
         let sim = FaultSimulator::new(&nl).unwrap();
         let faults = mixed_faults(&nl);
-        // 40: inside one narrow round; 130: several narrow rounds;
-        // 600: past the 256-test warm-up budget, so the wide phase
-        // grades a strict superset of the narrow prefix.
-        for (seed, count) in [(31u64, 40usize), (32, 130), (33, 600)] {
-            let tests = random_two_pattern(nl.inputs().len(), count, seed);
-            let scalar = sim.grade_scalar(&faults, &tests).unwrap();
-            for threads in [1usize, 4] {
-                let adaptive =
-                    obd_atpg::ppsfp::grade_adaptive(&sim, &tests, &faults, threads).unwrap();
-                assert_eq!(
-                    adaptive.detected, scalar,
-                    "{name}/{count} threads={threads}"
-                );
-                assert!(adaptive.narrow_rounds >= 1, "{name}/{count}");
-                // When the wide phase runs, every fault either dropped
-                // in a narrow round or was handed over as a survivor.
-                if adaptive.wide_survivors > 0 {
-                    assert_eq!(
-                        adaptive.narrow_detections + adaptive.wide_survivors,
-                        faults.len(),
-                        "{name}/{count} adaptive accounting"
-                    );
-                }
-                assert_eq!(
-                    sim.grade_adaptive(&faults, &tests, threads).unwrap(),
-                    scalar,
-                    "{name}/{count} simulator wrapper"
-                );
-            }
+        let pool = random_two_pattern(nl.inputs().len(), 400, 0x1A7E);
+        // The hardest detectable fault becomes a late one: keep 319 tests
+        // that miss it, then one that hits it at the very end.
+        let matrix = sim.detection_matrix(&faults, &pool).unwrap();
+        let hits = |f: usize| matrix.iter().filter(|row| row[f]).count();
+        let late = (0..faults.len())
+            .filter(|&f| hits(f) > 0)
+            .min_by_key(|&f| hits(f))
+            .unwrap();
+        let hit = matrix.iter().position(|row| row[late]).unwrap();
+        let mut tests: Vec<TwoPatternTest> = (0..pool.len())
+            .filter(|&t| !matrix[t][late])
+            .map(|t| pool[t].clone())
+            .take(319)
+            .collect();
+        assert_eq!(tests.len(), 319, "{name}: fault {late} is too easy");
+        tests.push(pool[hit].clone());
+        let engine = PpsfpEngine::<DROPPING_WIDTH>::prepare(&sim, &tests).unwrap();
+        assert_eq!(engine.num_blocks(), 5, "{name}");
+        let late_fault = std::slice::from_ref(&faults[late]);
+        assert_eq!(
+            sim.grade_scalar(late_fault, &tests[..319]).unwrap(),
+            [false]
+        );
+
+        let scalar = sim.grade_scalar(&faults, &tests).unwrap();
+        assert!(scalar[late], "{name}: the last block detects fault {late}");
+        let mut partial = tests.clone();
+        let width = nl.inputs().len();
+        for (i, t) in partial.iter_mut().enumerate().step_by(4) {
+            t.v1[i % width] = Lv::X;
+        }
+        let partial_scalar = sim.grade_scalar(&faults, &partial).unwrap();
+        for threads in [1usize, 2, 3, 7] {
+            assert_eq!(
+                sim.grade_parallel(&faults, &tests, threads).unwrap(),
+                scalar,
+                "{name} threads={threads}"
+            );
+            assert_eq!(
+                sim.grade_parallel(&faults, &partial, threads).unwrap(),
+                partial_scalar,
+                "{name} X-bearing threads={threads}"
+            );
         }
     }
-}
-
-/// A warm-up that covers the whole (fully specified) test set without an
-/// early stabilization exit settles every fault narrow-only: survivors
-/// are definitively undetected and no wide engine is built.
-#[test]
-fn adaptive_settles_narrow_when_warmup_covers_all_tests() {
-    let nl = c17();
-    let sim = FaultSimulator::new(&nl).unwrap();
-    // Stuck-at faults on c17 are drop-heavy: random patterns detect the
-    // bulk within the first rounds, keeping the drop rate above the
-    // stabilization threshold until the list is exhausted.
-    let faults = stuck_at_faults(&nl);
-    let tests = random_two_pattern(nl.inputs().len(), 64, 7);
-    let adaptive = obd_atpg::ppsfp::grade_adaptive(&sim, &tests, &faults, 2).unwrap();
-    assert_eq!(adaptive.narrow_rounds, 1, "single 64-test narrow block");
-    assert_eq!(adaptive.wide_survivors, 0, "warm-up covered every test");
-    assert_eq!(
-        adaptive.detected,
-        sim.grade_scalar(&faults, &tests).unwrap()
-    );
-}
-
-/// X-bearing warm-up tests route through the wide engine's scalar
-/// fallback, so adaptive grading stays bit-identical on partially
-/// specified test sets too.
-#[test]
-fn adaptive_grade_handles_x_bearing_tests() {
-    let nl = c17();
-    let sim = FaultSimulator::new(&nl).unwrap();
-    let faults = mixed_faults(&nl);
-    // Partially specified: X-bearing tests skip the narrow warm-up and
-    // grade through the wide engine's scalar fallback (when survivors
-    // reach it).
-    let mut tests = random_two_pattern(nl.inputs().len(), 90, 17);
-    for (i, t) in tests.iter_mut().enumerate() {
-        if i % 4 == 0 {
-            t.v1[i % 5] = Lv::X;
-        }
-    }
-    let adaptive = obd_atpg::ppsfp::grade_adaptive(&sim, &tests, &faults, 3).unwrap();
-    assert_eq!(
-        adaptive.detected,
-        sim.grade_scalar(&faults, &tests).unwrap()
-    );
-    // Fully X-bearing: nothing packs, the narrow warm-up has no blocks
-    // and every fault reaches the wide engine's scalar fallback.
-    for t in tests.iter_mut() {
-        t.v1[0] = Lv::X;
-    }
-    let adaptive = obd_atpg::ppsfp::grade_adaptive(&sim, &tests, &faults, 3).unwrap();
-    assert_eq!(adaptive.wide_survivors, faults.len());
-    assert_eq!(adaptive.narrow_detections, 0);
-    assert_eq!(
-        adaptive.detected,
-        sim.grade_scalar(&faults, &tests).unwrap()
-    );
-}
-
-/// Degenerate adaptive inputs keep the grading contract.
-#[test]
-fn adaptive_degenerate_inputs() {
-    let nl = c17();
-    let sim = FaultSimulator::new(&nl).unwrap();
-    let faults = stuck_at_faults(&nl);
-    let tests = random_two_pattern(5, 10, 3);
-    assert_eq!(
-        sim.grade_adaptive(&[], &tests, 2).unwrap(),
-        Vec::<bool>::new()
-    );
-    let no_tests = obd_atpg::ppsfp::grade_adaptive(&sim, &[], &faults, 2).unwrap();
-    assert_eq!(no_tests.detected, vec![false; faults.len()]);
-    assert_eq!(no_tests.narrow_rounds, 0);
 }
 
 /// X-bearing tests cannot be packed two-valued (X packs as 0, which
@@ -408,19 +351,25 @@ fn lowest_indexed_planning_error_wins_at_any_thread_count() {
     }
 }
 
-/// Empty fault lists and empty test sets keep the scalar contract.
+/// Empty fault lists and empty test sets keep the scalar contract at
+/// every thread count.
 #[test]
 fn degenerate_inputs_match_scalar() {
     let nl = c17();
     let sim = FaultSimulator::new(&nl).unwrap();
     let faults = stuck_at_faults(&nl);
     let tests = random_two_pattern(5, 10, 3);
-    assert_eq!(sim.grade(&[], &tests).unwrap(), Vec::<bool>::new());
-    assert_eq!(
-        sim.grade(&faults, &[]).unwrap(),
-        vec![false; faults.len()],
-        "no tests detect nothing"
-    );
+    for threads in [1usize, 2, 3, 7] {
+        assert_eq!(
+            sim.grade_parallel(&[], &tests, threads).unwrap(),
+            Vec::<bool>::new()
+        );
+        assert_eq!(
+            sim.grade_parallel(&faults, &[], threads).unwrap(),
+            vec![false; faults.len()],
+            "no tests detect nothing (threads = {threads})"
+        );
+    }
 }
 
 /// Degraded grading without injection equals plain grading outcomes,

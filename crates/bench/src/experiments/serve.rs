@@ -50,7 +50,7 @@ use std::time::{Duration, Instant};
 
 use obd_atpg::fault::{obd_faults, stuck_at_faults, transition_faults};
 use obd_atpg::faultsim::FaultSimulator;
-use obd_atpg::ppsfp::{PpsfpEngine, SUPERLANE_WIDTH};
+use obd_atpg::ppsfp::{PpsfpEngine, DROPPING_WIDTH};
 use obd_chaos::InjectionPoint;
 use obd_cmos::TechParams;
 use obd_core::cache::DelayCache;
@@ -519,7 +519,7 @@ fn run_grade(
     faults.extend(transition_faults(&nl));
     faults.extend(obd_faults(&nl, stage, false));
     let engine =
-        PpsfpEngine::<SUPERLANE_WIDTH>::prepare(&sim, &test_set).map_err(|e| e.to_string())?;
+        PpsfpEngine::<DROPPING_WIDTH>::prepare(&sim, &test_set).map_err(|e| e.to_string())?;
     let detected = engine
         .grade(&faults)
         .map_err(|e| e.to_string())?

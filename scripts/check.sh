@@ -297,9 +297,11 @@ EOF
 
 # Smoke the PPSFP grading engine end to end: `repro bench-atpg` must
 # emit a parseable report whose detection vectors were bit-exact across
-# the scalar reference, the narrow engine, the super-lane engine, and
-# the parallel shards, with a real bit-parallel speedup on every
-# non-trivial workload and a super-lane win on the no-dropping sweep.
+# the scalar reference, the wide (512-test block) dropping grade, the
+# default width-1 engine, and the parallel shards, with a real
+# bit-parallel speedup on every non-trivial workload, width 1 beating
+# the wide grade under dropping, and a super-lane win on the
+# no-dropping sweep.
 ./target/release/repro bench-atpg
 python3 - <<'EOF'
 import json
@@ -312,15 +314,18 @@ names = [row["name"] for row in bench["circuits"]]
 for expected in ("c17", "mux4", "rca32", "csa32", "mult16"):
     assert expected in names, f"unexpected circuit set: {names}"
 for row in bench["circuits"]:
-    for key in ("gates", "faults", "tests", "blocks", "scalar_s", "narrow_serial_s",
+    for key in ("gates", "faults", "tests", "blocks", "scalar_s", "wide_serial_s",
                 "packed_serial_s", "packed_parallel_s", "packed_speedup",
-                "superlane_speedup", "parallel_speedup", "total_speedup"):
+                "width_speedup", "parallel_speedup", "total_speedup"):
         assert key in row, f"{row['name']}: missing field {key}"
-    # c17 is small enough that a 512-wide block wastes work against the
-    # scalar path; every real circuit must show the bit-parallel win.
+    # c17 is too small for packing to beat the scalar path reliably;
+    # every real circuit must show the bit-parallel win, and grading with
+    # dropping at width 1 must not lose to the wide engine in the same run.
     if row["gates"] >= 40:
         assert row["packed_speedup"] > 1.0, \
             f"{row['name']}: no bit-parallel win: {row['packed_speedup']}"
+        assert row["width_speedup"] >= 1.0, \
+            f"{row['name']}: width 1 slower than the wide grade: {row['width_speedup']}"
 largest = max(bench["circuits"], key=lambda r: r["gates"])
 assert largest["gates"] >= 2000, f"largest circuit has only {largest['gates']} gates"
 assert largest["faults"] >= 1000, f"largest circuit grades only {largest['faults']} faults"
@@ -343,6 +348,7 @@ print(
     f"best_speedup={best:.1f}x",
     f"matrix={bench['matrix']['speedup']:.1f}x",
     f"superlane={sl['speedup']:.1f}x on {sl['gates']} gates",
+    f"width={min(r['width_speedup'] for r in bench['circuits'] if r['gates'] >= 40):.1f}x min",
     f"parallel={largest['parallel_speedup']:.1f}x on {bench['threads']} threads",
     "bit_exact=true",
 )

@@ -109,7 +109,9 @@ fn parallel_matches_scalar() {
 }
 
 /// Serial, explicitly-threaded and auto-sized fault grading agree
-/// exactly on random circuits, fault lists and two-pattern test sets.
+/// exactly on random circuits, fault lists and two-pattern test sets of
+/// 1–320 tests, most of them spanning several 64-test blocks, where
+/// faults drop in different blocks on different workers.
 #[test]
 fn grade_variants_agree() {
     use obd_suite::atpg::random::random_two_pattern;
@@ -119,12 +121,12 @@ fn grade_variants_agree() {
         let sim = FaultSimulator::new(&nl).unwrap();
         let faults =
             obd_suite::atpg::fault::obd_faults(&nl, obd_suite::obd::BreakdownStage::Mbd2, false);
-        let n_tests = 1 + rng.gen_range(12);
+        let n_tests = 1 + rng.gen_range(320);
         let tests = random_two_pattern(4, n_tests, rng.next_u64());
         let serial = sim.grade(&faults, &tests).unwrap();
         let auto = sim.grade_auto(&faults, &tests).unwrap();
         assert_eq!(serial, auto, "case {case}: grade_auto diverges");
-        for threads in [2, 3, 7] {
+        for threads in [1, 2, 3, 7] {
             let parallel = sim.grade_parallel(&faults, &tests, threads).unwrap();
             assert_eq!(
                 serial, parallel,
