@@ -32,6 +32,8 @@ fn save(path: &str, content: &str) {
     }
 }
 
+/// Regenerates Table 1; exits nonzero when a qualitative paper claim is
+/// violated or the characterization fails.
 fn run_table1(tech: &TechParams) {
     println!("== E2: Table 1 — NAND transition delays across the OBD ladder ==");
     match table1::run(tech, &BenchConfig::table1()) {
@@ -39,14 +41,17 @@ fn run_table1(tech: &TechParams) {
             let text = t.render();
             println!("{text}");
             let violations = table1::check_claims(&t);
-            if violations.is_empty() {
-                println!("  all qualitative Table 1 claims hold");
-            } else {
-                println!("  VIOLATIONS: {violations:#?}");
-            }
             save("table1.txt", &text);
+            if !violations.is_empty() {
+                eprintln!("  VIOLATIONS: {violations:#?}");
+                std::process::exit(1);
+            }
+            println!("  all qualitative Table 1 claims hold");
         }
-        Err(e) => eprintln!("  error: {e}"),
+        Err(e) => {
+            eprintln!("  error: {e}");
+            std::process::exit(1);
+        }
     }
 }
 

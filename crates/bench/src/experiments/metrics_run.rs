@@ -191,7 +191,6 @@ pub fn render(r: &MetricsRunReport) -> String {
         "core.delay_cache_misses",
         "core.delay_store_hits",
         "core.delay_store_misses",
-        "core.window_escalations",
         "atpg.podem_runs",
         "atpg.podem_backtracks",
         "atpg.faults_graded",

@@ -36,6 +36,5 @@ pub fn quick_bench_config() -> obd_core::characterize::BenchConfig {
         window_ps: 2500.0,
         step_ps: 4.0,
         at_speed_ps: Some(800.0),
-        sim_full_window: false,
     }
 }

@@ -123,7 +123,7 @@ fn store_digest(
     v2: [bool; 2],
     cfg: &BenchConfig,
 ) -> u64 {
-    let mut d = Digest::new("core.delay.v1");
+    let mut d = Digest::new("core.delay.v2");
     for v in [
         tech.vdd,
         tech.nmos_vt0,
@@ -147,7 +147,6 @@ fn store_digest(
         Some(limit) => d.bool(true).f64(limit),
         None => d.bool(false),
     };
-    d = d.bool(cfg.sim_full_window);
     d = d.u8(kind as u8);
     d = match defect {
         Some(def) => d
@@ -387,7 +386,6 @@ mod tests {
             window_ps: 2500.0,
             step_ps: 4.0,
             at_speed_ps: None,
-            sim_full_window: false,
         }
     }
 

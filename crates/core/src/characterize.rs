@@ -11,9 +11,9 @@ use obd_cmos::expand::{expand, ExpandedCircuit};
 use obd_cmos::TechParams;
 use obd_logic::netlist::{GateId, GateKind, NetId, Netlist};
 use obd_spice::analysis::dc::{dc_sweep, DcSweep};
-use obd_spice::analysis::tran::{transient_with_options, TranParams};
+use obd_spice::analysis::tran::{transient_until, transient_with_options, TranParams};
 use obd_spice::devices::SourceWave;
-use obd_spice::{EdgeKind, SimOptions, Waveform};
+use obd_spice::{Circuit, EdgeKind, NodeId, SimOptions, Waveform};
 
 use crate::faultmodel::Polarity;
 use crate::injection::inject_obd;
@@ -22,12 +22,8 @@ use crate::ObdError;
 use obd_chaos::InjectionPoint;
 use obd_metrics::Counter;
 
-/// Cell transitions measured (each one is at least one transient).
+/// Cell transitions measured (one decided transient each).
 static TRANSITIONS_MEASURED: Counter = Counter::new("core.transitions_measured");
-/// Measurements decided inside the trimmed capture-limited window.
-static CAPTURE_LIMITED_DECIDED: Counter = Counter::new("core.capture_limited_decided");
-/// Measurements escalated to a full-window rerun.
-static WINDOW_ESCALATIONS: Counter = Counter::new("core.window_escalations");
 /// Table 1 cells whose measurement failed and were marked degraded.
 static CELLS_DEGRADED: Counter = Counter::new("core.cells_degraded");
 
@@ -82,6 +78,13 @@ impl TransitionOutcome {
 }
 
 /// Timing parameters for the characterization transients.
+///
+/// A delay measurement ends its transient at the verdict
+/// ([`CrossingProbe`]): once the output has crossed after the input's
+/// reference crossing or, with a capture limit, once the window has run
+/// past the limit with no output crossing. Only a transition that never
+/// completes without a limit simulates all of `launch_ps + window_ps`;
+/// [`run_bench`] always returns the full window.
 #[derive(Debug, Clone)]
 pub struct BenchConfig {
     /// Input edge time at the PWL source (ps).
@@ -96,14 +99,6 @@ pub struct BenchConfig {
     /// than this counts as stuck, mirroring the paper's early-capture
     /// argument (§4.2). `None` uses the full window.
     pub at_speed_ps: Option<f64>,
-    /// Simulate the full observation window even when an at-speed capture
-    /// limit is set. Off by default: with a capture limit, every outcome
-    /// is decided shortly after the capture instant (a later crossing is
-    /// "stuck" by definition), so the transient normally stops there —
-    /// same table, a fraction of the steps. Its only setter is the
-    /// measurement layer's full-window escalation, which reruns a cell
-    /// whose trimmed window left the verdict undecided.
-    pub sim_full_window: bool,
 }
 
 impl BenchConfig {
@@ -117,7 +112,6 @@ impl BenchConfig {
             window_ps: 4000.0,
             step_ps: 2.0,
             at_speed_ps: None,
-            sim_full_window: false,
         }
     }
 
@@ -131,26 +125,22 @@ impl BenchConfig {
         }
     }
 
-    /// Transient stop time (ps). The full window, unless an at-speed
-    /// capture limit is set (and `sim_full_window` is off): once the
-    /// input's 50 % reference crossing is captured, any output crossing
-    /// more than `at_speed_ps` later leaves the verdict "stuck" either
-    /// way, so nothing past `t_in + at_speed_ps` can change Table 1. The
-    /// reference crossing itself is taken at the defect-loaded driver
-    /// output, which lags `launch_ps + edge_ps` by the (defect-slowed)
-    /// driver delay — the extra quarter of `at_speed_ps` of headroom
-    /// absorbs that lag for most breakdown stages. The measurement
-    /// layer still checks the captured window actually decides the
-    /// verdict and falls back to the full window when it does not
-    /// ([`measure_cell_transition_with_options`]), so the trimmed run is
-    /// outcome-identical by construction, not by estimate.
-    pub fn sim_stop_ps(&self) -> f64 {
-        let full = self.launch_ps + self.window_ps;
-        match self.at_speed_ps {
-            Some(limit) if !self.sim_full_window => {
-                full.min(self.launch_ps + self.edge_ps + 1.25 * limit + 4.0 * self.step_ps + 50.0)
-            }
-            _ => full,
+    /// The full observation window, `0..launch_ps + window_ps`, at
+    /// `step_ps`.
+    pub fn tran_params(&self) -> TranParams {
+        let ps = 1e-12;
+        TranParams::new(self.step_ps * ps, (self.launch_ps + self.window_ps) * ps)
+    }
+
+    /// The drive of a primary input that goes from `from` to `to`: a DC
+    /// level, or an `edge_ps` step at the launch edge.
+    pub(crate) fn input_wave(&self, tech: &TechParams, from: bool, to: bool) -> SourceWave {
+        let ps = 1e-12;
+        let lvl = |b: bool| if b { tech.vdd } else { 0.0 };
+        if from == to {
+            SourceWave::dc(lvl(from))
+        } else {
+            SourceWave::step(lvl(from), lvl(to), self.launch_ps * ps, self.edge_ps * ps)
         }
     }
 }
@@ -263,25 +253,21 @@ pub fn run_cell_bench(
     v2: [bool; 2],
     cfg: &BenchConfig,
 ) -> Result<(Waveform, ExpandedCircuit, Fig5Bench), ObdError> {
-    run_cell_bench_with_options(tech, kind, defect, v1, v2, cfg, &SimOptions::new())
+    let (exp, bench) = build_cell_bench(tech, kind, defect, v1, v2, cfg)?;
+    let wave = transient_with_options(&exp.circuit, &cfg.tran_params(), &SimOptions::new())?;
+    Ok((wave, exp, bench))
 }
 
-/// [`run_cell_bench`] under explicit solver options (temperature,
-/// tolerances, or the reference benchmark kernel).
-///
-/// # Errors
-///
-/// Propagates expansion, injection and simulation errors.
-#[allow(clippy::too_many_arguments)]
-pub fn run_cell_bench_with_options(
+/// The bench circuit for one two-pattern sequence: the expanded Fig. 5
+/// netlist with the defect injected and the primary inputs driven.
+fn build_cell_bench(
     tech: &TechParams,
     kind: GateKind,
     defect: Option<BenchDefect>,
     v1: [bool; 2],
     v2: [bool; 2],
     cfg: &BenchConfig,
-    opts: &SimOptions,
-) -> Result<(Waveform, ExpandedCircuit, Fig5Bench), ObdError> {
+) -> Result<(ExpandedCircuit, Fig5Bench), ObdError> {
     let bench = Fig5Bench::for_kind(kind)?;
     let mut exp = expand(&bench.netlist, tech)?;
     if let Some(d) = defect {
@@ -291,19 +277,154 @@ pub fn run_cell_bench_with_options(
         })?;
         inject_obd(&mut exp.circuit, tr.device, d.params, "dut")?;
     }
-    let ps = 1e-12;
     for (i, &pi) in bench.pis.iter().enumerate() {
-        let lvl = |b: bool| if b { tech.vdd } else { 0.0 };
-        let wave = if v1[i] == v2[i] {
-            SourceWave::dc(lvl(v1[i]))
-        } else {
-            SourceWave::step(lvl(v1[i]), lvl(v2[i]), cfg.launch_ps * ps, cfg.edge_ps * ps)
-        };
-        exp.drive_input(pi, wave);
+        exp.drive_input(pi, cfg.input_wave(tech, v1[i], v2[i]));
     }
-    let params = TranParams::new(cfg.step_ps * ps, cfg.sim_stop_ps() * ps);
-    let wave = transient_with_options(&exp.circuit, &params, opts)?;
-    Ok((wave, exp, bench))
+    Ok((exp, bench))
+}
+
+/// The delay measurement behind every characterization: the input's first
+/// 50 % crossing after half the launch time is the reference edge, and
+/// the output's first 50 % crossing at or after it is the measured edge.
+///
+/// The probe runs incrementally as the transient records samples, so the
+/// run can stop at the verdict ([`CrossingProbe::measure`]). It tests each
+/// new sample interval with [`Waveform::crossing_in`], the same test a
+/// full [`Waveform::crossings`] scan applies, and the transient's steps do
+/// not depend on where it stops — so a decided run finds exactly the
+/// crossings, and the delay bits, of the full-window run.
+#[derive(Debug, Clone)]
+pub struct CrossingProbe {
+    input: NodeId,
+    input_edge: EdgeKind,
+    output: NodeId,
+    output_edge: EdgeKind,
+    level: f64,
+    t_start: f64,
+    at_speed_ps: Option<f64>,
+    guard: f64,
+    window: TranParams,
+    /// The next sample interval to test.
+    next: usize,
+    t_in: Option<f64>,
+    t_out: Option<f64>,
+}
+
+impl CrossingProbe {
+    /// A probe for an input edge and the output edge it should cause,
+    /// both measured at `level`, under `cfg`'s launch time, capture limit
+    /// and window.
+    pub fn new(
+        input: NodeId,
+        input_rises: bool,
+        output: NodeId,
+        output_rises: bool,
+        level: f64,
+        cfg: &BenchConfig,
+    ) -> Self {
+        let edge = |rises| {
+            if rises {
+                EdgeKind::Rising
+            } else {
+                EdgeKind::Falling
+            }
+        };
+        CrossingProbe {
+            input,
+            input_edge: edge(input_rises),
+            output,
+            output_edge: edge(output_rises),
+            level,
+            t_start: cfg.launch_ps * 1e-12 * 0.5,
+            at_speed_ps: cfg.at_speed_ps,
+            guard: 2.0 * cfg.step_ps * 1e-12,
+            window: cfg.tran_params(),
+            next: 1,
+            t_in: None,
+            t_out: None,
+        }
+    }
+
+    /// Tests the sample intervals recorded since the last call and reports
+    /// whether the verdict is decided: the output has crossed after the
+    /// input's reference crossing, or, under a capture limit, the last
+    /// sample lies two steps past `t_in + at_speed_ps` with no output
+    /// crossing (any later one is over the limit).
+    pub fn observe(&mut self, wave: &Waveform) -> bool {
+        while self.t_out.is_none() && self.next < wave.len() {
+            let i = self.next;
+            self.next += 1;
+            match self.t_in {
+                None => {
+                    self.t_in =
+                        wave.crossing_in(self.input, i, self.level, self.input_edge, self.t_start);
+                    if let Some(t_in) = self.t_in {
+                        // The output search covers every interval ending at
+                        // or after the reference crossing, this one included.
+                        self.next = wave.time().partition_point(|&t| t < t_in).max(1);
+                    }
+                }
+                Some(t_in) => {
+                    self.t_out =
+                        wave.crossing_in(self.output, i, self.level, self.output_edge, t_in);
+                }
+            }
+        }
+        match (self.t_in, self.t_out, self.at_speed_ps) {
+            (_, Some(_), _) => true,
+            (Some(t_in), None, Some(limit)) => wave
+                .time()
+                .last()
+                .is_some_and(|&t| t >= t_in + limit * 1e-12 + self.guard),
+            _ => false,
+        }
+    }
+
+    /// Runs `ckt` over the window until the probe decides, then returns
+    /// its verdict.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulation errors; see [`CrossingProbe::outcome`].
+    pub fn measure(
+        mut self,
+        ckt: &Circuit,
+        opts: &SimOptions,
+    ) -> Result<TransitionOutcome, ObdError> {
+        let window = self.window.clone();
+        transient_until(ckt, &window, opts, |w| self.observe(w))?;
+        TRANSITIONS_MEASURED.inc();
+        self.outcome()
+    }
+
+    /// The verdict on the samples observed so far: the delay in ps, or
+    /// stuck when the output has not crossed or crossed after the capture
+    /// limit.
+    ///
+    /// # Errors
+    ///
+    /// [`ObdError::CorruptMeasurement`] for a non-finite or negative delay.
+    pub fn outcome(&self) -> Result<TransitionOutcome, ObdError> {
+        let (Some(ti), Some(to)) = (self.t_in, self.t_out) else {
+            return Ok(TransitionOutcome::Stuck);
+        };
+        let mut ps = (to - ti) / 1e-12;
+        if CHAOS_DELAY_CORRUPT.fire() {
+            ps = f64::NAN;
+        }
+        // Measurement guard: crossings are time-ordered by construction,
+        // so a NaN or negative delay means the measurement chain was
+        // corrupted — report it instead of tabulating garbage.
+        if !ps.is_finite() || ps < 0.0 {
+            return Err(ObdError::CorruptMeasurement(format!(
+                "non-physical propagation delay {ps} ps"
+            )));
+        }
+        Ok(match self.at_speed_ps {
+            Some(limit) if ps > limit => TransitionOutcome::Stuck,
+            _ => TransitionOutcome::Delay(ps),
+        })
+    }
 }
 
 /// Measures the NAND propagation delay for one sequence under an optional
@@ -313,7 +434,7 @@ pub fn run_cell_bench_with_options(
 ///
 /// # Errors
 ///
-/// Propagates [`run_bench`] errors; returns
+/// Propagates expansion, injection and simulation errors; returns
 /// [`ObdError::BadSite`] if neither input switches.
 pub fn measure_transition(
     tech: &TechParams,
@@ -329,8 +450,7 @@ pub fn measure_transition(
 ///
 /// # Errors
 ///
-/// Propagates [`run_cell_bench`] errors; returns [`ObdError::BadSite`] if
-/// neither input switches.
+/// Same conditions as [`measure_transition`].
 pub fn measure_cell_transition(
     tech: &TechParams,
     kind: GateKind,
@@ -342,11 +462,13 @@ pub fn measure_cell_transition(
     measure_cell_transition_with_options(tech, kind, defect, v1, v2, cfg, &SimOptions::new())
 }
 
-/// [`measure_cell_transition`] under explicit solver options.
+/// [`measure_cell_transition`] under explicit solver options. The
+/// transient stops at the verdict ([`CrossingProbe`]); a sequence whose
+/// output does not switch is stuck without simulating.
 ///
 /// # Errors
 ///
-/// Same conditions as [`measure_cell_transition`].
+/// Same conditions as [`measure_transition`].
 #[allow(clippy::too_many_arguments)]
 pub fn measure_cell_transition_with_options(
     tech: &TechParams,
@@ -357,93 +479,29 @@ pub fn measure_cell_transition_with_options(
     cfg: &BenchConfig,
     opts: &SimOptions,
 ) -> Result<TransitionOutcome, ObdError> {
-    let (wave, exp, bench) = run_cell_bench_with_options(tech, kind, defect, v1, v2, cfg, opts)?;
-    TRANSITIONS_MEASURED.inc();
-    let half = tech.half_vdd();
-
+    let (exp, bench) = build_cell_bench(tech, kind, defect, v1, v2, cfg)?;
     // Which DUT input switches (first switching pin is the reference)?
     let switching_pin = (0..2)
         .find(|&i| v1[i] != v2[i])
         .ok_or_else(|| ObdError::BadSite("no input switches in the sequence".into()))?;
-    let in_node = exp.node(bench.nand_inputs[switching_pin]);
-    let in_edge = if v2[switching_pin] {
-        EdgeKind::Rising
-    } else {
-        EdgeKind::Falling
-    };
     let out_fn = |v: [bool; 2]| match kind {
         GateKind::Nor => !(v[0] || v[1]),
         _ => !(v[0] && v[1]),
     };
-    let out1 = out_fn(v1);
     let out2 = out_fn(v2);
-    if out1 == out2 {
+    if out_fn(v1) == out2 {
         // Output does not switch; delay is undefined for this sequence.
         return Ok(TransitionOutcome::Stuck);
     }
-    let out_edge = if out2 {
-        EdgeKind::Rising
-    } else {
-        EdgeKind::Falling
-    };
-    let out_node = exp.node(bench.output);
-    let t_start = cfg.launch_ps * 1e-12 * 0.5;
-    let t_in = wave.first_crossing(in_node, half, in_edge, t_start);
-    let t_out = t_in.and_then(|ti| wave.first_crossing(out_node, half, out_edge, ti));
-
-    // A capture-limited run may have stopped before the verdict was
-    // decided: the input reference crossing could still be pending, or
-    // the window may not yet cover `t_in + at_speed` (so a later output
-    // crossing could still be an in-limit delay). Escalate such cells to
-    // the full observation window — the trimmed result is then
-    // outcome-identical to an always-full-window driver by construction.
-    if cfg.sim_stop_ps() < cfg.launch_ps + cfg.window_ps {
-        // A trimmed window implies a capture limit; if that invariant ever
-        // broke, an infinite limit makes the cell undecided and escalates
-        // it to the full window, which is always safe.
-        let limit_s = cfg.at_speed_ps.unwrap_or(f64::INFINITY) * 1e-12;
-        let t_end = wave.time().last().copied().unwrap_or(0.0);
-        let guard = 2.0 * cfg.step_ps * 1e-12;
-        let decided = match (t_in, t_out) {
-            (Some(_), Some(_)) => true,
-            (Some(ti), None) => ti + limit_s <= t_end - guard,
-            (None, _) => false,
-        };
-        if !decided {
-            WINDOW_ESCALATIONS.inc();
-            let full_cfg = BenchConfig {
-                sim_full_window: true,
-                ..cfg.clone()
-            };
-            return measure_cell_transition_with_options(
-                tech, kind, defect, v1, v2, &full_cfg, opts,
-            );
-        }
-        CAPTURE_LIMITED_DECIDED.inc();
-    }
-
-    match (t_in, t_out) {
-        (Some(ti), Some(to)) => {
-            let mut ps = (to - ti) / 1e-12;
-            if CHAOS_DELAY_CORRUPT.fire() {
-                ps = f64::NAN;
-            }
-            // Measurement guard: crossings are time-ordered by
-            // construction, so a NaN or negative delay means the
-            // measurement chain was corrupted — report it instead of
-            // tabulating garbage.
-            if !ps.is_finite() || ps < 0.0 {
-                return Err(ObdError::CorruptMeasurement(format!(
-                    "non-physical propagation delay {ps} ps"
-                )));
-            }
-            match cfg.at_speed_ps {
-                Some(limit) if ps > limit => Ok(TransitionOutcome::Stuck),
-                _ => Ok(TransitionOutcome::Delay(ps)),
-            }
-        }
-        _ => Ok(TransitionOutcome::Stuck),
-    }
+    let probe = CrossingProbe::new(
+        exp.node(bench.nand_inputs[switching_pin]),
+        v2[switching_pin],
+        exp.node(bench.output),
+        out2,
+        tech.half_vdd(),
+        cfg,
+    );
+    probe.measure(&exp.circuit, opts)
 }
 
 /// One row of the regenerated Table 1.
@@ -518,8 +576,9 @@ impl Table1 {
 /// Every cell of the grid is an independent transient (own circuit
 /// expansion, own solver), so the cells fan out over `threads` workers of
 /// the work-stealing [`crate::pool`]. Cell costs are wildly uneven —
-/// fault-free cells stop at the capture limit, stuck cells escalate to
-/// the full window — and stealing bounds the imbalance by one cell. Each
+/// a fault-free cell stops at its output crossing, a cell with no
+/// reference crossing runs the full window — and stealing bounds the
+/// imbalance by one cell. Each
 /// job fills its own `(row, slot)` cell, so the table is identical at any
 /// thread count; `threads <= 1` measures serially.
 ///
@@ -885,58 +944,16 @@ pub fn delay_vs_temperature(
     temps_c
         .iter()
         .map(|&t| {
-            let (wave, exp, bench) = {
-                let bench = Fig5Bench::new()?;
-                let mut exp = expand(&bench.netlist, tech)?;
-                let trs = exp.find_transistors(bench.nand, defect.pin, defect.polarity.mos());
-                let tr = trs.first().ok_or_else(|| {
-                    ObdError::BadSite(format!("no transistor at pin {}", defect.pin))
-                })?;
-                inject_obd(&mut exp.circuit, tr.device, defect.params, "temp")?;
-                let ps = 1e-12;
-                for (i, &pi) in bench.pis.iter().enumerate() {
-                    let lvl = |b: bool| if b { tech.vdd } else { 0.0 };
-                    let wave = if v1[i] == v2[i] {
-                        SourceWave::dc(lvl(v1[i]))
-                    } else {
-                        SourceWave::step(
-                            lvl(v1[i]),
-                            lvl(v2[i]),
-                            cfg.launch_ps * ps,
-                            cfg.edge_ps * ps,
-                        )
-                    };
-                    exp.drive_input(pi, wave);
-                }
-                let params =
-                    TranParams::new(cfg.step_ps * ps, (cfg.launch_ps + cfg.window_ps) * ps);
-                let opts = SimOptions::new().at_temperature(t);
-                let wave = transient_with_options(&exp.circuit, &params, &opts)?;
-                (wave, exp, bench)
-            };
-            let half = tech.half_vdd();
-            let switching_pin = (0..2)
-                .find(|&i| v1[i] != v2[i])
-                .ok_or_else(|| ObdError::BadSite("no input switches".into()))?;
-            let in_node = exp.node(bench.nand_inputs[switching_pin]);
-            let in_edge = if v2[switching_pin] {
-                EdgeKind::Rising
-            } else {
-                EdgeKind::Falling
-            };
-            let out2 = !(v2[0] && v2[1]);
-            let out_edge = if out2 {
-                EdgeKind::Rising
-            } else {
-                EdgeKind::Falling
-            };
-            let out_node = exp.node(bench.output);
-            let t_start = cfg.launch_ps * 1e-12 * 0.5;
-            let outcome =
-                match wave.propagation_delay(in_node, in_edge, out_node, out_edge, half, t_start) {
-                    Some(d) => TransitionOutcome::Delay(d / 1e-12),
-                    None => TransitionOutcome::Stuck,
-                };
+            let opts = SimOptions::new().at_temperature(t);
+            let outcome = measure_cell_transition_with_options(
+                tech,
+                GateKind::Nand,
+                Some(defect),
+                v1,
+                v2,
+                cfg,
+                &opts,
+            )?;
             Ok((t, outcome))
         })
         .collect()
@@ -1180,7 +1197,6 @@ mod tests {
             window_ps: 2500.0,
             step_ps: 4.0,
             at_speed_ps: None,
-            sim_full_window: false,
         }
     }
 

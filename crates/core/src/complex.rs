@@ -13,11 +13,10 @@ use obd_cmos::expand::{attach_wire_load, instantiate_cell};
 use obd_cmos::switch::CellTransistor;
 use obd_cmos::TechParams;
 use obd_logic::netlist::{GateKind, Netlist};
-use obd_spice::analysis::tran::{transient_with_options, TranParams};
 use obd_spice::devices::{MosPolarity, SourceWave, Vsource};
-use obd_spice::{Circuit, EdgeKind, NodeId, SimOptions};
+use obd_spice::{Circuit, NodeId, SimOptions};
 
-use crate::characterize::{BenchConfig, TransitionOutcome};
+use crate::characterize::{BenchConfig, CrossingProbe, TransitionOutcome};
 use crate::injection::inject_obd;
 use crate::stage::ObdParams;
 use crate::ObdError;
@@ -138,60 +137,30 @@ pub fn measure_cell(
             .device;
         inject_obd(&mut bench.circuit, device, params, "cplx")?;
     }
-    let ps = 1e-12;
     for (pin, &pi) in bench.pi_nodes.iter().enumerate() {
-        let lvl = |b: bool| if b { tech.vdd } else { 0.0 };
-        let wave = if v1[pin] == v2[pin] {
-            SourceWave::dc(lvl(v1[pin]))
-        } else {
-            SourceWave::step(
-                lvl(v1[pin]),
-                lvl(v2[pin]),
-                cfg.launch_ps * ps,
-                cfg.edge_ps * ps,
-            )
-        };
         bench.circuit.add_vsource(Vsource::new(
             &format!("VPI{pin}"),
             pi,
             Circuit::GROUND,
-            wave,
+            cfg.input_wave(tech, v1[pin], v2[pin]),
         ));
     }
     let switching_pin = (0..cell.num_inputs)
         .find(|&i| v1[i] != v2[i])
         .ok_or_else(|| ObdError::BadSite("no input switches".into()))?;
-    let out1 = cell.eval(v1);
     let out2 = cell.eval(v2);
-    if out1 == out2 {
+    if cell.eval(v1) == out2 {
         return Err(ObdError::BadSite("output does not switch".into()));
     }
-    let params = TranParams::new(cfg.step_ps * ps, (cfg.launch_ps + cfg.window_ps) * ps);
-    let wave = transient_with_options(&bench.circuit, &params, &SimOptions::new())?;
-    let half = tech.half_vdd();
-    let in_node = bench.dut_inputs[switching_pin];
-    let in_edge = if v2[switching_pin] {
-        EdgeKind::Rising
-    } else {
-        EdgeKind::Falling
-    };
-    let out_edge = if out2 {
-        EdgeKind::Rising
-    } else {
-        EdgeKind::Falling
-    };
-    let t_start = cfg.launch_ps * ps * 0.5;
-    let outcome = wave.propagation_delay(in_node, in_edge, bench.output, out_edge, half, t_start);
-    Ok(match outcome {
-        Some(d) => {
-            let d_ps = d / ps;
-            match cfg.at_speed_ps {
-                Some(limit) if d_ps > limit => TransitionOutcome::Stuck,
-                _ => TransitionOutcome::Delay(d_ps),
-            }
-        }
-        None => TransitionOutcome::Stuck,
-    })
+    let probe = CrossingProbe::new(
+        bench.dut_inputs[switching_pin],
+        v2[switching_pin],
+        bench.output,
+        out2,
+        tech.half_vdd(),
+        cfg,
+    );
+    probe.measure(&bench.circuit, &SimOptions::new())
 }
 
 #[cfg(test)]
@@ -209,7 +178,6 @@ mod tests {
             window_ps: 2200.0,
             step_ps: 6.0,
             at_speed_ps: None,
-            sim_full_window: false,
         }
     }
 

@@ -17,17 +17,15 @@
 //! direction comes from the logic-level simulator, so the same driver
 //! works for any fixture topology.
 
-use obd_cmos::expand::{expand, ExpandedCircuit};
+use obd_cmos::expand::expand;
 use obd_cmos::TechParams;
 use obd_logic::circuits::fa_block;
 use obd_logic::netlist::{GateId, GateKind, NetId, Netlist};
 use obd_logic::sim::simulate;
 use obd_logic::value::Lv;
-use obd_spice::analysis::tran::{transient_with_options, TranParams};
-use obd_spice::devices::SourceWave;
-use obd_spice::{EdgeKind, SimOptions, Waveform};
+use obd_spice::SimOptions;
 
-use crate::characterize::{BenchConfig, TransitionOutcome};
+use crate::characterize::{BenchConfig, CrossingProbe, TransitionOutcome};
 use crate::faultmodel::Polarity;
 use crate::injection::inject_obd;
 use crate::stage::ObdParams;
@@ -157,66 +155,19 @@ impl MultiCellBench {
     }
 }
 
-/// Expands a fixture, injects an optional defect, drives the two-pattern
-/// sequence and runs the transient. Returns the waveform and the expanded
-/// circuit for node lookups.
-///
-/// # Errors
-///
-/// Propagates expansion, injection and simulation errors;
-/// [`ObdError::BadSite`] when the vector lengths don't match the fixture.
-pub fn run_fixture_with_options(
-    tech: &TechParams,
-    bench: &MultiCellBench,
-    defect: Option<FixtureDefect>,
-    v1: &[bool],
-    v2: &[bool],
-    cfg: &BenchConfig,
-    opts: &SimOptions,
-) -> Result<(Waveform, ExpandedCircuit), ObdError> {
-    if v1.len() != bench.pis.len() || v2.len() != bench.pis.len() {
-        return Err(ObdError::BadSite(format!(
-            "fixture '{}' takes {} inputs, got {}/{}",
-            bench.name,
-            bench.pis.len(),
-            v1.len(),
-            v2.len()
-        )));
-    }
-    let mut exp = expand(&bench.netlist, tech)?;
-    if let Some(d) = defect {
-        let trs = exp.find_transistors(d.gate, d.pin, d.polarity.mos());
-        let tr = trs.first().ok_or_else(|| {
-            ObdError::BadSite(format!("no {} transistor at pin {}", d.polarity, d.pin))
-        })?;
-        inject_obd(&mut exp.circuit, tr.device, d.params, bench.name)?;
-    }
-    let ps = 1e-12;
-    for (i, &pi) in bench.pis.iter().enumerate() {
-        let lvl = |bit: bool| if bit { tech.vdd } else { 0.0 };
-        let wave = if v1[i] == v2[i] {
-            SourceWave::dc(lvl(v1[i]))
-        } else {
-            SourceWave::step(lvl(v1[i]), lvl(v2[i]), cfg.launch_ps * ps, cfg.edge_ps * ps)
-        };
-        exp.drive_input(pi, wave);
-    }
-    let params = TranParams::new(cfg.step_ps * ps, cfg.launch_ps * ps + cfg.window_ps * ps);
-    let wave = transient_with_options(&exp.circuit, &params, opts)?;
-    Ok((wave, exp))
-}
-
 /// Measures the fixture's propagation delay for one two-pattern sequence:
 /// the reference edge is the first switching primary input crossing 50 %,
 /// the measured edge is the observed net crossing 50 % in the direction
 /// the logic simulator predicts. Includes the fanin-chain delay by
 /// construction — fixtures compare outcomes relatively (defect versus
-/// fault-free), not against Table 1 absolutes.
+/// fault-free), not against Table 1 absolutes. The transient stops at the
+/// verdict ([`CrossingProbe`]).
 ///
 /// # Errors
 ///
-/// Propagates [`run_fixture_with_options`] errors; [`ObdError::BadSite`]
-/// when no input switches.
+/// Propagates expansion, injection and simulation errors;
+/// [`ObdError::BadSite`] when the vector lengths don't match the fixture
+/// or no input switches.
 pub fn measure_fixture_transition_with_options(
     tech: &TechParams,
     bench: &MultiCellBench,
@@ -246,41 +197,29 @@ pub fn measure_fixture_transition_with_options(
         // The observed net does not switch; delay is undefined.
         return Ok(TransitionOutcome::Stuck);
     }
-    let (wave, exp) = run_fixture_with_options(tech, bench, defect, v1, v2, cfg, opts)?;
-    let half = tech.half_vdd();
+    let mut exp = expand(&bench.netlist, tech)?;
+    if let Some(d) = defect {
+        let trs = exp.find_transistors(d.gate, d.pin, d.polarity.mos());
+        let tr = trs.first().ok_or_else(|| {
+            ObdError::BadSite(format!("no {} transistor at pin {}", d.polarity, d.pin))
+        })?;
+        inject_obd(&mut exp.circuit, tr.device, d.params, bench.name)?;
+    }
+    for (i, &pi) in bench.pis.iter().enumerate() {
+        exp.drive_input(pi, cfg.input_wave(tech, v1[i], v2[i]));
+    }
     let switching_pin = (0..v1.len())
         .find(|&i| v1[i] != v2[i])
         .ok_or_else(|| ObdError::BadSite("no input switches in the sequence".into()))?;
-    let in_node = exp.node(bench.pis[switching_pin]);
-    let in_edge = if v2[switching_pin] {
-        EdgeKind::Rising
-    } else {
-        EdgeKind::Falling
-    };
-    let out_edge = if o2 == Lv::One {
-        EdgeKind::Rising
-    } else {
-        EdgeKind::Falling
-    };
-    let out_node = exp.node(bench.observed);
-    let t_start = cfg.launch_ps * 1e-12 * 0.5;
-    let t_in = wave.first_crossing(in_node, half, in_edge, t_start);
-    let t_out = t_in.and_then(|ti| wave.first_crossing(out_node, half, out_edge, ti));
-    match (t_in, t_out) {
-        (Some(ti), Some(to)) => {
-            let ps = (to - ti) / 1e-12;
-            if !ps.is_finite() || ps < 0.0 {
-                return Err(ObdError::CorruptMeasurement(format!(
-                    "non-physical propagation delay {ps} ps"
-                )));
-            }
-            match cfg.at_speed_ps {
-                Some(limit) if ps > limit => Ok(TransitionOutcome::Stuck),
-                _ => Ok(TransitionOutcome::Delay(ps)),
-            }
-        }
-        _ => Ok(TransitionOutcome::Stuck),
-    }
+    let probe = CrossingProbe::new(
+        exp.node(bench.pis[switching_pin]),
+        v2[switching_pin],
+        exp.node(bench.observed),
+        o2 == Lv::One,
+        tech.half_vdd(),
+        cfg,
+    );
+    probe.measure(&exp.circuit, opts)
 }
 
 #[cfg(test)]
@@ -295,7 +234,6 @@ mod tests {
             window_ps: 2500.0,
             step_ps: 4.0,
             at_speed_ps: None,
-            sim_full_window: false,
         }
     }
 

@@ -509,7 +509,6 @@ mod tests {
             window_ps: 2500.0,
             step_ps: 4.0,
             at_speed_ps: None,
-            sim_full_window: false,
         }
     }
 

@@ -4,8 +4,9 @@
 //!
 //! Every worker *steals* the next job from a shared atomic cursor, so
 //! load imbalance is bounded by a single job however uneven job costs
-//! are (a fault-free Table 1 cell finishes in a short capture-limited
-//! transient while an HBD cell escalates to the full observation window;
+//! are (a fault-free Table 1 cell's transient stops at its output
+//! crossing while a cell with no reference crossing runs the full
+//! observation window;
 //! a fault dropped on its first block costs a fraction of one that
 //! survives every block).
 //!

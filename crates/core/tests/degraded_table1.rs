@@ -23,7 +23,6 @@ fn quick_cfg() -> BenchConfig {
         window_ps: 2500.0,
         step_ps: 8.0,
         at_speed_ps: Some(800.0),
-        sim_full_window: false,
     }
 }
 

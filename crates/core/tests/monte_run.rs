@@ -28,7 +28,6 @@ fn small_config(threads: usize) -> MonteConfig {
             window_ps: 2500.0,
             step_ps: 4.0,
             at_speed_ps: None,
-            sim_full_window: false,
         },
         at_speed_ps: 300.0,
     }

@@ -4,6 +4,12 @@
 //! step to establish consistent capacitor history) and retries a failed
 //! timestep at progressively smaller sub-steps. Every accepted step is
 //! recorded into a [`Waveform`].
+//!
+//! [`transient_until`] takes a causal stop predicate, checked after each
+//! accepted step: a measurement that is decided part way through the
+//! window (a delay whose output crossing has landed) ends the run there.
+//! The step sequence does not depend on the predicate, so a stopped run
+//! is a bit-exact prefix of the full-window run.
 
 use crate::circuit::Circuit;
 use crate::devices::{EvalCtx, Integration};
@@ -26,6 +32,10 @@ static TRAN_ESCALATIONS: Counter = Counter::new("spice.tran_escalations");
 /// Chaos: reject a transient step before its solve, exercising the
 /// halving/escalation recovery path.
 static CHAOS_STEP_REJECT: InjectionPoint = InjectionPoint::new("spice.tran_step_reject");
+
+/// Upper bound on the samples preallocated for one run; a longer window
+/// grows its waveform as it goes.
+const PREALLOC_SAMPLES: usize = 1 << 16;
 
 /// Integration method selection for transient analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,6 +111,23 @@ pub fn transient_with_options(
     params: &TranParams,
     opts: &SimOptions,
 ) -> Result<Waveform, SpiceError> {
+    transient_until(ckt, params, opts, |_| false)
+}
+
+/// Runs a transient analysis until `done` reports the result decided or
+/// the window ends, whichever comes first. `done` sees the waveform after
+/// each accepted step; the steps themselves are those of the full-window
+/// run, so the returned waveform is a sample-for-sample prefix of it.
+///
+/// # Errors
+///
+/// Same conditions as [`transient_with_options`].
+pub fn transient_until(
+    ckt: &Circuit,
+    params: &TranParams,
+    opts: &SimOptions,
+    mut done: impl FnMut(&Waveform) -> bool,
+) -> Result<Waveform, SpiceError> {
     if !(params.step > 0.0 && params.stop > 0.0 && params.step <= params.stop) {
         return Err(SpiceError::InvalidCircuit(format!(
             "bad transient window: step {} stop {}",
@@ -126,7 +153,10 @@ pub fn transient_with_options(
     };
     accept(ckt, &mut solver, &x, &init_ctx);
 
-    let mut wave = Waveform::new();
+    // The full window's sample count, so the stepping loop never grows
+    // the waveform.
+    let samples = (params.stop / params.step).ceil() + 1.0;
+    let mut wave = Waveform::with_capacity((samples as usize).min(PREALLOC_SAMPLES));
     record(ckt, &solver, &x, 0.0, &mut wave);
 
     let mut t = 0.0;
@@ -196,6 +226,9 @@ pub fn transient_with_options(
         t = target;
         first_step = false;
         record(ckt, &solver, &x, t, &mut wave);
+        if done(&wave) {
+            break;
+        }
     }
     Ok(wave)
 }

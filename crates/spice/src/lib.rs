@@ -13,10 +13,12 @@
 //! * **Analyses**: DC operating point, DC sweeps (for voltage-transfer
 //!   characteristics like the paper's Fig. 4) and fixed-step trapezoidal /
 //!   backward-Euler transient analysis (for the delay measurements of
-//!   Table 1 and Figs. 6, 7, 9) ([`analysis`]).
-//! * **Waveform post-processing**: threshold crossings and 50 %-to-50 %
-//!   propagation-delay measurement, including "never switched" detection
-//!   that the paper reports as `sa-0`/`sa-1` rows ([`waveform`]).
+//!   Table 1 and Figs. 6, 7, 9), optionally stopped by the caller once its
+//!   measurement is decided ([`analysis`]).
+//! * **Waveform post-processing**: threshold crossings, testable one
+//!   sample interval at a time while a transient runs; a delay whose
+//!   output never crosses is the "never switched" outcome the paper
+//!   reports as `sa-0`/`sa-1` rows ([`waveform`]).
 //! * **SPICE netlist export** for cross-checking against external
 //!   simulators ([`export`]).
 //!

@@ -36,6 +36,16 @@ impl Waveform {
         Waveform::default()
     }
 
+    /// Creates an empty waveform with room for `samples` samples on the
+    /// time axis and on every trace, so recording that many allocates
+    /// each trace once.
+    pub fn with_capacity(samples: usize) -> Self {
+        Waveform {
+            time: Vec::with_capacity(samples),
+            ..Waveform::default()
+        }
+    }
+
     /// Appends a sample: time plus the voltage of every recorded node and
     /// the current of every recorded source branch.
     pub fn push_sample(
@@ -45,11 +55,12 @@ impl Waveform {
         currents: impl IntoIterator<Item = (usize, f64)>,
     ) {
         self.time.push(t);
+        let cap = self.time.capacity();
         for (n, v) in voltages {
-            push_indexed(&mut self.traces, n.index(), v);
+            push_indexed(&mut self.traces, n.index(), v, cap);
         }
         for (k, i) in currents {
-            push_indexed(&mut self.source_currents, k, i);
+            push_indexed(&mut self.source_currents, k, i, cap);
         }
     }
 
@@ -93,34 +104,48 @@ impl Waveform {
     /// All times at which `trace` crosses `level` in the given direction,
     /// linearly interpolated, at or after `t_start`.
     pub fn crossings(&self, n: NodeId, level: f64, edge: EdgeKind, t_start: f64) -> Vec<f64> {
-        let y = self.trace(n);
-        let mut out = Vec::new();
-        for i in 1..self.time.len() {
-            if self.time[i] < t_start {
-                continue;
-            }
-            let (y0, y1) = (y[i - 1], y[i]);
-            let rising = y0 < level && y1 >= level;
-            let falling = y0 > level && y1 <= level;
-            let hit = match edge {
-                EdgeKind::Rising => rising,
-                EdgeKind::Falling => falling,
-                EdgeKind::Any => rising || falling,
-            };
-            if hit {
-                let (t0, t1) = (self.time[i - 1], self.time[i]);
-                let frac = if (y1 - y0).abs() < f64::MIN_POSITIVE {
-                    0.0
-                } else {
-                    (level - y0) / (y1 - y0)
-                };
-                let t = t0 + frac * (t1 - t0);
-                if t >= t_start {
-                    out.push(t);
-                }
-            }
+        (1..self.time.len())
+            .filter_map(|i| self.crossing_in(n, i, level, edge, t_start))
+            .collect()
+    }
+
+    /// The crossing of `level` inside the sample interval ending at sample
+    /// `i`, if there is one at or after `t_start`. This is the one
+    /// per-interval test behind [`Waveform::crossings`]; an incremental
+    /// probe that calls it on each newly recorded interval finds exactly
+    /// the crossings a full scan would. `None` for `i == 0` or past the
+    /// last sample.
+    pub fn crossing_in(
+        &self,
+        n: NodeId,
+        i: usize,
+        level: f64,
+        edge: EdgeKind,
+        t_start: f64,
+    ) -> Option<f64> {
+        let (&t0, &t1) = (self.time.get(i.checked_sub(1)?)?, self.time.get(i)?);
+        if t1 < t_start {
+            return None;
         }
-        out
+        let y = self.trace(n);
+        let (y0, y1) = (y[i - 1], y[i]);
+        let rising = y0 < level && y1 >= level;
+        let falling = y0 > level && y1 <= level;
+        let hit = match edge {
+            EdgeKind::Rising => rising,
+            EdgeKind::Falling => falling,
+            EdgeKind::Any => rising || falling,
+        };
+        if !hit {
+            return None;
+        }
+        let frac = if (y1 - y0).abs() < f64::MIN_POSITIVE {
+            0.0
+        } else {
+            (level - y0) / (y1 - y0)
+        };
+        let t = t0 + frac * (t1 - t0);
+        (t >= t_start).then_some(t)
     }
 
     /// First crossing, or `None` if the trace never crosses — the
@@ -132,26 +157,7 @@ impl Waveform {
         edge: EdgeKind,
         t_start: f64,
     ) -> Option<f64> {
-        self.crossings(n, level, edge, t_start).into_iter().next()
-    }
-
-    /// 50 %-to-50 % propagation delay from an input edge to the next output
-    /// edge.
-    ///
-    /// Returns `None` when the output never crosses: with an OBD defect
-    /// this is the hard-breakdown "stuck" regime.
-    pub fn propagation_delay(
-        &self,
-        input: NodeId,
-        input_edge: EdgeKind,
-        output: NodeId,
-        output_edge: EdgeKind,
-        half_level: f64,
-        t_start: f64,
-    ) -> Option<f64> {
-        let t_in = self.first_crossing(input, half_level, input_edge, t_start)?;
-        let t_out = self.first_crossing(output, half_level, output_edge, t_in)?;
-        Some(t_out - t_in)
+        (1..self.time.len()).find_map(|i| self.crossing_in(n, i, level, edge, t_start))
     }
 
     /// Minimum and maximum of a trace over the whole window.
@@ -220,13 +226,15 @@ impl Waveform {
 }
 
 /// Appends `v` to the trace at `idx`, creating the slot (and any gap
-/// before it) on first touch. Steady-state appends are a plain indexed
-/// push.
-fn push_indexed(store: &mut Vec<Option<Vec<f64>>>, idx: usize, v: f64) {
+/// before it) on first touch with the time axis's capacity. Steady-state
+/// appends are a plain indexed push.
+fn push_indexed(store: &mut Vec<Option<Vec<f64>>>, idx: usize, v: f64, cap: usize) {
     if idx >= store.len() {
         store.resize_with(idx + 1, || None);
     }
-    store[idx].get_or_insert_with(Vec::new).push(v);
+    store[idx]
+        .get_or_insert_with(|| Vec::with_capacity(cap))
+        .push(v);
 }
 
 #[cfg(test)]
@@ -281,9 +289,9 @@ mod tests {
             let vb = if t >= 30.0 { 0.0 } else { 1.0 };
             w.push_sample(t, [(a, va), (b, vb)], []);
         }
-        let d = w
-            .propagation_delay(a, EdgeKind::Rising, b, EdgeKind::Falling, 0.5, 0.0)
-            .unwrap();
+        let t_in = w.first_crossing(a, 0.5, EdgeKind::Rising, 0.0).unwrap();
+        let t_out = w.first_crossing(b, 0.5, EdgeKind::Falling, t_in).unwrap();
+        let d = t_out - t_in;
         assert!((d - 20.0).abs() < 1.1, "delay = {d}");
     }
 
@@ -298,9 +306,8 @@ mod tests {
             let va = if t >= 2.0 { 1.0 } else { 0.0 };
             w.push_sample(t, [(a, va), (b, 1.0)], []);
         }
-        assert!(w
-            .propagation_delay(a, EdgeKind::Rising, b, EdgeKind::Falling, 0.5, 0.0)
-            .is_none());
+        let t_in = w.first_crossing(a, 0.5, EdgeKind::Rising, 0.0).unwrap();
+        assert!(w.first_crossing(b, 0.5, EdgeKind::Falling, t_in).is_none());
     }
 
     #[test]

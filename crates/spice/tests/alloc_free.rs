@@ -1,18 +1,20 @@
 //! Verifies the Newton hot path is allocation-free in steady state: once
 //! a solver's workspaces are warm, repeated `newton_into` solves must not
-//! touch the heap at all.
+//! touch the heap at all, and neither must the transient stepping loop
+//! with a live stop predicate.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use obd_spice::analysis::tran::{transient_until, TranParams};
 use obd_spice::devices::{
     Capacitor, Diode, DiodeParams, EvalCtx, Integration, MosParams, MosPolarity, Mosfet, Resistor,
     SourceWave, Vsource,
 };
 use obd_spice::engine::Solver;
-use obd_spice::{Circuit, SimOptions};
+use obd_spice::{Circuit, EdgeKind, SimOptions};
 
 /// Counts heap operations from the measured thread while `COUNTING` is
 /// set; otherwise defers straight to the system allocator.
@@ -61,8 +63,8 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 static TEST_LOCK: Mutex<()> = Mutex::new(());
 
 /// A circuit exercising every stamp class: source, resistor, capacitor
-/// companion, diode and MOSFET.
-fn mixed_circuit() -> Circuit {
+/// companion, diode and MOSFET, with the MOSFET gate driven by `vin`.
+fn mixed_circuit(vin_wave: SourceWave) -> Circuit {
     let mut c = Circuit::new();
     let vdd = c.node("vdd");
     let vin = c.node("in");
@@ -74,12 +76,7 @@ fn mixed_circuit() -> Circuit {
         Circuit::GROUND,
         SourceWave::dc(3.3),
     ));
-    c.add_vsource(Vsource::new(
-        "VIN",
-        vin,
-        Circuit::GROUND,
-        SourceWave::dc(1.8),
-    ));
+    c.add_vsource(Vsource::new("VIN", vin, Circuit::GROUND, vin_wave));
     c.add_resistor(Resistor::new("RL", vdd, out, 10e3));
     c.add_mosfet(Mosfet::new(
         "M1",
@@ -113,7 +110,7 @@ fn mixed_circuit() -> Circuit {
 fn warm_newton_solves_do_not_allocate() {
     let _guard = TEST_LOCK.lock().unwrap();
     MEASURED_THREAD.with(|c| c.set(true));
-    let ckt = mixed_circuit();
+    let ckt = mixed_circuit(SourceWave::dc(1.8));
     let opts = SimOptions::new();
     let mut solver = Solver::new(&ckt, &opts).unwrap();
 
@@ -156,7 +153,7 @@ fn metrics_disabled_path_does_not_allocate_in_hot_loop() {
     MEASURED_THREAD.with(|c| c.set(true));
     obd_metrics::disable();
 
-    let ckt = mixed_circuit();
+    let ckt = mixed_circuit(SourceWave::dc(1.8));
     let opts = SimOptions::new();
     let mut solver = Solver::new(&ckt, &opts).unwrap();
 
@@ -201,5 +198,57 @@ fn metrics_disabled_path_does_not_allocate_in_hot_loop() {
     assert!(
         after > before,
         "enabled run must record newton iterations ({before} -> {after})"
+    );
+}
+
+/// The transient loop records into a waveform preallocated for the
+/// window, so once warm, a step — predictor solve, history commit,
+/// sample record and a stop predicate scanning the newest interval —
+/// allocates nothing. The predicate stops the run part way, and it must
+/// have seen the output switch, so the loop measured is a live one.
+#[test]
+fn warm_transient_until_loop_does_not_allocate() {
+    const WARM_STEP: usize = 20;
+    const STOP_STEP: usize = 600;
+    let _guard = TEST_LOCK.lock().unwrap();
+    MEASURED_THREAD.with(|c| c.set(true));
+    obd_metrics::disable();
+
+    let ckt = mixed_circuit(SourceWave::step(0.0, 1.8, 0.2e-9, 50e-12));
+    let out = ckt.find_node("out").unwrap();
+    let params = TranParams::new(2e-12, 2e-9);
+    let (mut steps, mut crossings, mut at_warm, mut at_stop) = (0, 0, 0, 0);
+
+    ALLOC_CALLS.store(0, Ordering::SeqCst);
+    COUNTING.store(true, Ordering::SeqCst);
+    let wave = transient_until(&ckt, &params, &SimOptions::new(), |w| {
+        steps += 1;
+        if w.crossing_in(out, w.len() - 1, 0.7, EdgeKind::Any, 0.0)
+            .is_some()
+        {
+            crossings += 1;
+        }
+        if steps == WARM_STEP {
+            at_warm = ALLOC_CALLS.load(Ordering::SeqCst);
+        }
+        if steps == STOP_STEP {
+            at_stop = ALLOC_CALLS.load(Ordering::SeqCst);
+        }
+        steps == STOP_STEP
+    })
+    .unwrap();
+    COUNTING.store(false, Ordering::SeqCst);
+
+    assert_eq!(wave.len(), STOP_STEP + 1, "the predicate must stop the run");
+    assert!(
+        crossings > 0,
+        "the output never switched: the loop was idle"
+    );
+    assert_eq!(
+        at_stop - at_warm,
+        0,
+        "warm transient loop performed {} heap allocations over {} steps",
+        at_stop - at_warm,
+        STOP_STEP - WARM_STEP
     );
 }

@@ -29,6 +29,14 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 RUSTFLAGS="-C debug-assertions=on" cargo test -q --offline --workspace \
     --release --target-dir target/debug-assert
 
+# Table 1 is a standing gate: `repro table1` exits nonzero on any
+# violated qualitative claim, and the rendered table must match the
+# committed golden cell for cell, so an analog change that moves a
+# Table 1 entry fails here.
+./target/release/repro table1
+cmp results/table1.txt tests/golden/table1.txt \
+    || { echo "results/table1.txt differs from tests/golden/table1.txt"; exit 1; }
+
 # Smoke the observability layer end to end: `repro stats` must emit a
 # parseable metrics snapshot with the key engine counters nonzero.
 ./target/release/repro stats

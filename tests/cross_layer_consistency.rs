@@ -23,7 +23,6 @@ fn coarse_cfg() -> BenchConfig {
         window_ps: 2200.0,
         step_ps: 6.0,
         at_speed_ps: None,
-        sim_full_window: false,
     }
 }
 

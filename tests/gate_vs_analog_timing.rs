@@ -26,7 +26,6 @@ fn characterized_gate_level_timing_tracks_analog_full_adder() {
         window_ps: 2000.0,
         step_ps: 4.0,
         at_speed_ps: None,
-        sim_full_window: false,
     };
     // Characterize the fault-free cell delays with the analog model.
     let table = DelayTable::from_characterization(&tech, &cfg).expect("characterization");
