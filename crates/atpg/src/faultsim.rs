@@ -392,7 +392,19 @@ impl<'a> FaultSimulator<'a> {
     /// at [`DROPPING_WIDTH`].
     pub fn grade_degraded(&self, faults: &[Fault], tests: &[TwoPatternTest]) -> Vec<GradeOutcome> {
         let out = match PpsfpEngine::<DROPPING_WIDTH>::prepare(self, tests) {
-            Ok(engine) => engine.grade_degraded(faults, &|| CHAOS_GRADE.fire()),
+            Ok(engine) => {
+                let mut scratch = PpsfpScratch::default();
+                faults
+                    .iter()
+                    .map(
+                        |f| match engine.grade_one_with(f, &mut scratch, || CHAOS_GRADE.fire()) {
+                            Ok(true) => GradeOutcome::Detected,
+                            Ok(false) => GradeOutcome::Undetected,
+                            Err(e) => GradeOutcome::Degraded(e.to_string()),
+                        },
+                    )
+                    .collect()
+            }
             // Malformed test sets degrade every fault, as each would hit
             // the same error at its first test in the scalar path.
             Err(e) => vec![GradeOutcome::Degraded(e.to_string()); faults.len()],

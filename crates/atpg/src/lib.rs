@@ -74,7 +74,6 @@ pub mod ndetect;
 pub mod podem;
 pub mod ppsfp;
 pub mod random;
-pub mod rng;
 pub mod scan;
 pub mod scoap;
 pub mod testfile;

@@ -51,7 +51,7 @@ use obd_metrics::{Counter, Gauge};
 use obd_store::{Digest, Store};
 
 use crate::fault::{Fault, SlowTo, TwoPatternTest};
-use crate::faultsim::{stuck_output_value, FaultSimulator, GradeOutcome};
+use crate::faultsim::{stuck_output_value, FaultSimulator};
 use crate::AtpgError;
 
 /// Super-lane width of the no-dropping paths (detection matrices, BIST
@@ -625,13 +625,30 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
         fault: &Fault,
         scratch: &mut PpsfpScratch<N>,
     ) -> Result<bool, AtpgError> {
+        self.grade_one_with(fault, scratch, || false)
+    }
+
+    /// The one per-fault dropping loop. `inject` is polled before each
+    /// block and each scalar test; when it fires the fault fails with an
+    /// injected [`AtpgError::Internal`]. [`PpsfpEngine::grade_one`] passes
+    /// `|| false`, which compiles the poll away.
+    pub(crate) fn grade_one_with(
+        &self,
+        fault: &Fault,
+        scratch: &mut PpsfpScratch<N>,
+        inject: impl Fn() -> bool,
+    ) -> Result<bool, AtpgError> {
         let total = self.blocks.len() + self.scalar_tests.len();
         if total == 0 {
             return Ok(false);
         }
         let plan = self.plan(fault)?;
+        let injected = || AtpgError::Internal("injected grading failure (chaos)".into());
         let mut done = 0usize;
         for blk in &self.blocks {
+            if inject() {
+                return Err(injected());
+            }
             Self::touch(blk);
             done += 1;
             if self.detect_mask(&plan, blk, scratch)?.any() {
@@ -642,6 +659,9 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
             }
         }
         for &i in &self.scalar_tests {
+            if inject() {
+                return Err(injected());
+            }
             done += 1;
             if self.sim.detects(fault, &self.tests[i])? {
                 if done < total {
@@ -705,59 +725,5 @@ impl<'a, 's, const N: usize> PpsfpEngine<'a, 's, N> {
         obd_core::pool::run_jobs_with(faults, threads, PpsfpScratch::default, |scratch, _, f| {
             self.grade_one(f, scratch)
         })
-    }
-
-    /// Gracefully degraded grading with dropping: a fault whose
-    /// evaluation errors out (or for which `inject` fires) becomes
-    /// [`GradeOutcome::Degraded`] and stops consuming tests; the
-    /// campaign continues.
-    pub fn grade_degraded(&self, faults: &[Fault], inject: &dyn Fn() -> bool) -> Vec<GradeOutcome> {
-        let mut scratch = PpsfpScratch::default();
-        faults
-            .iter()
-            .map(|f| self.grade_one_degraded(f, &mut scratch, inject))
-            .collect()
-    }
-
-    fn grade_one_degraded(
-        &self,
-        fault: &Fault,
-        scratch: &mut PpsfpScratch<N>,
-        inject: &dyn Fn() -> bool,
-    ) -> GradeOutcome {
-        if self.blocks.is_empty() && self.scalar_tests.is_empty() {
-            return GradeOutcome::Undetected;
-        }
-        let plan = match self.plan(fault) {
-            Ok(p) => p,
-            Err(e) => return GradeOutcome::Degraded(e.to_string()),
-        };
-        let chaos = || {
-            GradeOutcome::Degraded(
-                AtpgError::Internal("injected grading failure (chaos)".into()).to_string(),
-            )
-        };
-        for blk in &self.blocks {
-            if inject() {
-                return chaos();
-            }
-            Self::touch(blk);
-            match self.detect_mask(&plan, blk, scratch) {
-                Ok(m) if m.is_zero() => {}
-                Ok(_) => return GradeOutcome::Detected,
-                Err(e) => return GradeOutcome::Degraded(e.to_string()),
-            }
-        }
-        for &i in &self.scalar_tests {
-            if inject() {
-                return chaos();
-            }
-            match self.sim.detects(fault, &self.tests[i]) {
-                Ok(true) => return GradeOutcome::Detected,
-                Ok(false) => {}
-                Err(e) => return GradeOutcome::Degraded(e.to_string()),
-            }
-        }
-        GradeOutcome::Undetected
     }
 }

@@ -1,10 +1,10 @@
 //! Random-pattern baselines — the "traditional pattern generator" the
 //! paper shows to be insufficient for PMOS OBD defects.
 
+use obd_core::rng::XorShift64Star;
 use obd_logic::value::Lv;
 
 use crate::fault::TwoPatternTest;
-use crate::rng::XorShift64Star;
 
 /// Uniformly random two-pattern tests.
 pub fn random_two_pattern(n_inputs: usize, count: usize, seed: u64) -> Vec<TwoPatternTest> {

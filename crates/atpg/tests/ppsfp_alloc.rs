@@ -7,7 +7,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use obd_atpg::bist::run_bist;
 use obd_atpg::fault::{em_faults, obd_faults, stuck_at_faults, transition_faults, Fault};
@@ -77,7 +77,7 @@ fn mixed_faults(nl: &Netlist) -> Vec<Fault> {
 /// every fault model without a single heap operation.
 #[test]
 fn warm_packed_grading_does_not_allocate() {
-    let _guard = TEST_LOCK.lock().unwrap();
+    let _guard = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     MEASURED_THREAD.with(|c| c.set(true));
     obd_metrics::disable();
 
@@ -120,7 +120,7 @@ fn warm_packed_grading_does_not_allocate() {
 /// measuring a dead path).
 #[test]
 fn enabled_metrics_sit_on_the_graded_path() {
-    let _guard = TEST_LOCK.lock().unwrap();
+    let _guard = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     obd_metrics::enable();
 
     let nl = c17();
@@ -167,7 +167,7 @@ fn enabled_metrics_sit_on_the_graded_path() {
 /// 8 and fails here.
 #[test]
 fn width_gauge_follows_the_dropping_policy() {
-    let _guard = TEST_LOCK.lock().unwrap();
+    let _guard = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     obd_metrics::enable();
 
     let nl = fig8_sum_circuit();

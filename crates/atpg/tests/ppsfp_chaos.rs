@@ -4,7 +4,7 @@
 //! must be exact — every injection produces exactly one degraded
 //! outcome and vice versa.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use obd_atpg::fault::{obd_faults, stuck_at_faults};
 use obd_atpg::faultsim::FaultSimulator;
@@ -22,7 +22,7 @@ static TEST_LOCK: Mutex<()> = Mutex::new(());
 /// set spans.
 #[test]
 fn degraded_fault_stops_consuming_tests() {
-    let _guard = TEST_LOCK.lock().unwrap();
+    let _guard = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     obd_metrics::enable();
     let nl = fig8_sum_circuit();
     let sim = FaultSimulator::new(&nl).unwrap();
@@ -65,7 +65,7 @@ fn degraded_fault_stops_consuming_tests() {
 /// relies on.
 #[test]
 fn partial_rate_accounting_is_exact() {
-    let _guard = TEST_LOCK.lock().unwrap();
+    let _guard = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     obd_metrics::enable();
     let nl = fig8_sum_circuit();
     let sim = FaultSimulator::new(&nl).unwrap();
@@ -105,7 +105,7 @@ fn partial_rate_accounting_is_exact() {
 /// never firing) outcomes equal the clean engine results.
 #[test]
 fn armed_zero_rate_is_the_clean_run() {
-    let _guard = TEST_LOCK.lock().unwrap();
+    let _guard = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let nl = fig8_sum_circuit();
     let sim = FaultSimulator::new(&nl).unwrap();
     let faults = obd_faults(&nl, BreakdownStage::Mbd2, true);

@@ -2,8 +2,8 @@
 //! packed core at 64 and 512 patterns per sweep, and event-driven timing
 //! simulation.
 
-use obd_atpg::rng::XorShift64Star;
 use obd_bench::timing::{bench, header};
+use obd_core::rng::XorShift64Star;
 use obd_logic::circuits::ripple_carry_adder;
 use obd_logic::sim::simulate_with_order;
 use obd_logic::soa::SoaNetlist;

@@ -13,7 +13,7 @@ use std::path::Path;
 use obd_bench::experiments::{
     atpg_bench, bist_eval, chaos, clock_sweep, em_contrast, excitation, fig4, fig9, fleet, iddq,
     metrics_run, monte, scaling, scan_eval, serve, spice_bench, stats, table1, tpg_compare,
-    variation, waveforms, window,
+    waveforms, window,
 };
 use obd_cmos::TechParams;
 use obd_core::characterize::{BenchConfig, DelayTable};
@@ -289,15 +289,25 @@ fn run_scan() {
     save("scan.txt", &text);
 }
 
-fn run_variation() {
+/// Fault-free spread versus breakdown shifts; exits nonzero when a
+/// measurement fails or an MBD stage hides in process noise.
+fn run_variation(tech: &TechParams) {
     println!("== Extension: OBD shifts vs process variation ==");
-    match variation::run(64, 0.05, &BenchConfig::new(), 0xFAB5) {
-        Ok(r) => {
-            let text = variation::render(&r);
+    match monte::run_variation(tech, 64, &BenchConfig::new()) {
+        Ok(v) => {
+            let text = v.render();
             println!("{text}");
             save("variation.txt", &text);
+            let unscreened = v.unscreened();
+            if !unscreened.is_empty() {
+                eprintln!("  MBD stages inside 3 sigma of process noise: {unscreened:?}");
+                std::process::exit(1);
+            }
         }
-        Err(e) => eprintln!("  error: {e}"),
+        Err(e) => {
+            eprintln!("  error: {e}");
+            std::process::exit(1);
+        }
     }
 }
 
@@ -584,7 +594,7 @@ fn main() {
         run_scan();
     }
     if all || arg == "variation" {
-        run_variation();
+        run_variation(&tech);
     }
     if all || arg == "monte" {
         run_monte(&tech);

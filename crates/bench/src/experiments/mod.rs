@@ -19,6 +19,5 @@ pub mod spice_bench;
 pub mod stats;
 pub mod table1;
 pub mod tpg_compare;
-pub mod variation;
 pub mod waveforms;
 pub mod window;

@@ -1,4 +1,5 @@
-//! `repro monte`: the batched Monte Carlo variation campaign.
+//! `repro monte`: the batched Monte Carlo variation campaign, and
+//! `repro variation`, a view over two such campaigns.
 //!
 //! Samples process corners around the DATE-05 technology and measures
 //! the Table 1 probe set at every corner (engine:
@@ -6,9 +7,16 @@
 //! byte-identical for a fixed seed regardless of `OBD_MONTE_THREADS` —
 //! corner `k` derives its RNG stream from `(seed, k)` alone and results
 //! land in per-index slots, so scheduling never reorders the artifact.
+//!
+//! `repro variation` (extension X8) asks §3.3's question — does a
+//! breakdown's delay shift clear process noise? — of two [`run_monte`]
+//! reports: the fault-free fall's spread across 5 %-spread corners, and
+//! each stage's NMOS-fall shift at the nominal corner.
 
-use obd_core::monte::MonteConfig;
-use obd_core::BreakdownStage;
+use obd_cmos::TechParams;
+use obd_core::characterize::BenchConfig;
+use obd_core::monte::{run_monte, MonteConfig, MonteReport};
+use obd_core::{BreakdownStage, ObdError, Polarity};
 
 /// Builds the campaign configuration from a key → value lookup;
 /// [`config_from_env`] feeds it the process environment, tests feed it a
@@ -85,6 +93,116 @@ fn parse_stages(spec: Option<&str>) -> Option<Vec<BreakdownStage>> {
         out.push(stage);
     }
     Some(out)
+}
+
+/// `repro variation`'s view: the fault-free fall's spread across corners
+/// and each stage's NMOS-fall shift at the nominal corner.
+#[derive(Debug, Clone)]
+pub struct Variation {
+    /// Corners whose fault-free fall completed.
+    pub corners: usize,
+    /// Mean and population standard deviation of the fault-free fall (ps).
+    pub mean_ps: f64,
+    pub sigma_ps: f64,
+    /// `(stage, shift (ps; infinite when stuck), shift ÷ sigma)` rows.
+    pub stages: Vec<(BreakdownStage, f64, f64)>,
+}
+
+/// Runs the two campaigns: `samples` corners at 5 % spread probing only
+/// the fault-free cell, and one spread-0 corner — exactly the nominal
+/// technology — probing SBD through MBD3.
+///
+/// # Errors
+///
+/// Campaign errors, and any measurement that degraded.
+pub fn run_variation(
+    tech: &TechParams,
+    samples: usize,
+    bench: &BenchConfig,
+) -> Result<Variation, ObdError> {
+    use BreakdownStage::{Mbd1, Mbd2, Mbd3, Sbd};
+    let mut cfg = config_from(|_| None);
+    cfg.bench = bench.clone();
+    cfg.seed = 0xFAB5;
+    cfg.samples = samples;
+    cfg.stages = vec![];
+    let spread = run_monte(tech, &cfg)?;
+    cfg.samples = 1;
+    cfg.spread = 0.0;
+    cfg.stages = vec![Sbd, Mbd1, Mbd2, Mbd3];
+    let nominal = run_monte(tech, &cfg)?;
+    match spread.degraded_total + nominal.degraded_total {
+        0 => Ok(Variation::of(&spread, &nominal)),
+        n => Err(ObdError::CorruptMeasurement(format!(
+            "{n} variation measurements degraded"
+        ))),
+    }
+}
+
+/// Whether a shift of `z` sigma clears process noise.
+fn screenable(z: f64) -> bool {
+    z > 3.0
+}
+
+impl Variation {
+    /// The view: mean and sigma of `spread`'s fault-free fall, and each
+    /// NMOS-fall probe of `nominal` less its fault-free fall.
+    pub fn of(spread: &MonteReport, nominal: &MonteReport) -> Self {
+        let fault_free = |r: &MonteReport| {
+            let p = r.probes.iter().find(|p| p.label == "fault_free_fall");
+            p.map_or(Vec::new(), |p| p.delays_ps.clone())
+        };
+        let samples = fault_free(spread);
+        let n = samples.len().max(1) as f64;
+        let mean_ps = samples.iter().sum::<f64>() / n;
+        let sigma_ps = (samples.iter().map(|d| (d - mean_ps).powi(2)).sum::<f64>() / n).sqrt();
+        let base = fault_free(nominal).first().map_or(f64::NAN, |&d| d);
+        let stages = nominal
+            .probes
+            .iter()
+            .filter(|p| p.polarity == Some(Polarity::Nmos))
+            .filter_map(|p| {
+                let shift = p.delays_ps.first().map_or(f64::INFINITY, |&d| d - base);
+                Some((p.stage?, shift, shift / sigma_ps.max(1e-9)))
+            })
+            .collect();
+        Variation {
+            corners: samples.len(),
+            mean_ps,
+            sigma_ps,
+            stages,
+        }
+    }
+
+    /// MBD stages whose shift does not clear 3 sigma (none should).
+    pub fn unscreened(&self) -> Vec<BreakdownStage> {
+        self.stages
+            .iter()
+            .filter(|&&(stage, _, z)| stage != BreakdownStage::Sbd && !screenable(z))
+            .map(|&(stage, _, _)| stage)
+            .collect()
+    }
+
+    /// Renders the `variation.txt` table.
+    pub fn render(&self) -> String {
+        let mut s = format!(
+            "fault-free NAND fall delay across {} process corners: mean {:.0} ps, sigma {:.1} ps\n",
+            self.corners, self.mean_ps, self.sigma_ps
+        );
+        s.push_str("stage   delay shift    shift/sigma   screenable at 3-sigma?\n");
+        for &(stage, shift, z) in &self.stages {
+            let verdict = if screenable(z) {
+                "yes"
+            } else {
+                "no — hides in process noise"
+            };
+            s.push_str(&format!(
+                "{:<6} {shift:>9.0} ps   {z:>9.1}    {verdict}\n",
+                stage.to_string()
+            ));
+        }
+        s
+    }
 }
 
 #[cfg(test)]

@@ -86,7 +86,8 @@ impl SpiceBenchReport {
 
 /// Times the Newton kernel: a warm solver on the Fig. 5 bench circuit,
 /// re-solved from the operating point under a transient context. Returns
-/// (ns/iteration, iterations timed).
+/// the fastest of [`NEWTON_WINDOWS`] timing windows as (ns/iteration,
+/// iterations timed in that window), so a noisy host cannot inflate it.
 fn newton_kernel(tech: &TechParams) -> Result<(f64, u64), ObdError> {
     let bench = Fig5Bench::new()?;
     let mut exp = expand(&bench.netlist, tech)?;
@@ -109,17 +110,28 @@ fn newton_kernel(tech: &TechParams) -> Result<(f64, u64), ObdError> {
         solver.newton_into(&ctx, &x0, &mut x)?;
     }
 
-    let iters_before = solver.newton_iterations();
-    let t0 = Instant::now();
-    let mut solves = 0u64;
-    while solves < 200 || t0.elapsed().as_millis() < 200 {
-        solver.newton_into(&ctx, &x0, &mut x)?;
-        solves += 1;
+    let mut best = (f64::INFINITY, 0);
+    for _ in 0..NEWTON_WINDOWS {
+        let iters_before = solver.newton_iterations();
+        let t0 = Instant::now();
+        let mut solves = 0u64;
+        while solves < 200 || t0.elapsed().as_millis() < 100 {
+            solver.newton_into(&ctx, &x0, &mut x)?;
+            solves += 1;
+        }
+        let wall = t0.elapsed();
+        let iters = solver.newton_iterations() - iters_before;
+        let ns_per_iter = wall.as_secs_f64() * 1e9 / iters as f64;
+        if ns_per_iter < best.0 {
+            best = (ns_per_iter, iters);
+        }
     }
-    let wall = t0.elapsed();
-    let iters = solver.newton_iterations() - iters_before;
-    Ok((wall.as_secs_f64() * 1e9 / iters as f64, iters))
+    Ok(best)
 }
+
+/// Timing windows (each ≥ 100 ms and ≥ 200 solves) behind the Newton
+/// kernel's ns/iteration.
+const NEWTON_WINDOWS: usize = 5;
 
 /// Times the full two-pattern characterization transient (fault-free
 /// fall on the NAND bench).

@@ -22,7 +22,7 @@
 //! | X2 | BIST session length + LOC correlation | [`experiments::bist_eval`] |
 //! | X3 | detectability vs capture clock | [`experiments::clock_sweep`] |
 //! | X5 | scan (LOS) delivery + chain ordering | [`experiments::scan_eval`] |
-//! | X8 | OBD shifts vs process variation | [`experiments::variation`] |
+//! | X8 | OBD shifts vs process variation | [`experiments::monte::run_variation`] over [`obd_core::monte::run_monte`] |
 
 pub mod experiments;
 pub mod timing;

@@ -49,6 +49,8 @@
 //!   inside real multi-cell loading.
 //! * [`monte`] — batched Monte Carlo characterization across randomized
 //!   process corners with percentile and detection aggregates.
+//! * [`rng`] — the one seedable xorshift64* generator, shared by Monte
+//!   Carlo corners, test-pattern sampling and the fleet.
 
 // Library code must surface failures as typed errors, never panic;
 // tests keep the ergonomic forms.
@@ -68,6 +70,7 @@ pub mod monte;
 pub mod pool;
 pub mod prognosis;
 pub mod progression;
+pub mod rng;
 pub mod stage;
 pub mod window;
 

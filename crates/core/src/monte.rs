@@ -12,10 +12,11 @@
 //! limit, or stuck outright — §4.2's detection-window argument).
 //!
 //! Determinism is a hard guarantee: corner `k` derives its parameters
-//! from `splitmix64(seed, k)` feeding an in-crate xorshift64* stream —
-//! *counter seeding*, no shared RNG state — and jobs fan out over the
-//! work-stealing pool ([`crate::pool`]) with per-index result slots, so
-//! [`MonteReport::render_json`] is byte-identical at any thread count.
+//! from the shared [`crate::rng`] generator's stream `(seed, k)`
+//! ([`XorShift64Star::for_stream`]) — *counter seeding*, no shared RNG
+//! state — and jobs fan out over the work-stealing pool ([`crate::pool`])
+//! with per-index result slots, so [`MonteReport::render_json`] is
+//! byte-identical at any thread count.
 //! (Armed chaos injection intentionally breaks this: the global injection
 //! sequence depends on scheduling, which is the point of a chaos run.)
 //!
@@ -34,6 +35,7 @@ use crate::characterize::{
 };
 use crate::faultmodel::Polarity;
 use crate::pool;
+use crate::rng::XorShift64Star;
 use crate::stage::BreakdownStage;
 use crate::ObdError;
 
@@ -52,46 +54,6 @@ static MONTE_DEGRADED: Counter = Counter::new("monte.degraded_measurements");
 /// parameter sanity guard must reject the corner as a typed error (it
 /// degrades) rather than handing NaN to the analog engine.
 static CHAOS_PARAMS_CORRUPT: InjectionPoint = InjectionPoint::new("monte.params_corrupt");
-
-/// An xorshift64* stream with splitmix64 counter seeding: corner `k` gets
-/// an independent, reproducible stream from `(seed, k)` alone, so samples
-/// can run in any order on any thread.
-#[derive(Debug, Clone)]
-struct MonteRng {
-    state: u64,
-}
-
-impl MonteRng {
-    fn for_sample(seed: u64, sample: u64) -> Self {
-        // splitmix64 finalizer over the (seed, counter) pair; the final
-        // `| 1` keeps the xorshift state nonzero.
-        let mut z = seed ^ sample.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        MonteRng { state: z | 1 }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        let mut x = self.state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.state = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// Uniform in `[-1, 1)`.
-    fn uniform_pm1(&mut self) -> f64 {
-        let u = (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-        2.0 * u - 1.0
-    }
-
-    /// Pseudo-Gaussian: sum of three `[-1, 1)` uniforms, unit variance.
-    fn gauss(&mut self) -> f64 {
-        (self.uniform_pm1() + self.uniform_pm1() + self.uniform_pm1()) / 1.732
-    }
-}
 
 /// Configuration of one Monte Carlo campaign.
 #[derive(Debug, Clone)]
@@ -214,7 +176,7 @@ pub struct MonteReport {
 /// Perturbs the technology for one corner: ±`spread` relative pseudo-
 /// Gaussian on Vt, KP and W of both polarities, clamped at half nominal.
 fn sample_tech(nominal: &TechParams, seed: u64, sample: u64, spread: f64) -> TechParams {
-    let mut rng = MonteRng::for_sample(seed, sample);
+    let mut rng = XorShift64Star::for_stream(seed, sample);
     let mut t = nominal.clone();
     let mut jitter = |v: f64| -> f64 { (v * (1.0 + spread * rng.gauss())).max(v * 0.5) };
     t.nmos_vt0 = jitter(t.nmos_vt0);

@@ -1,4 +1,5 @@
-//! A small, dependency-free, seedable pseudo-random generator.
+//! The suite's one small, dependency-free, seedable pseudo-random
+//! generator.
 //!
 //! The suite must build and test with no network access, so the pattern
 //! generators cannot pull in the `rand` crate. This xorshift64* generator
@@ -30,6 +31,19 @@ impl XorShift64Star {
         }
     }
 
+    /// The `counter`-th independent stream of `seed` (*counter seeding*):
+    /// stream `k` depends on `(seed, k)` alone, so Monte Carlo corners can
+    /// run in any order on any thread.
+    pub fn for_stream(seed: u64, counter: u64) -> Self {
+        // SplitMix64 finalizer over the (seed, counter) pair; the final
+        // `| 1` keeps the state nonzero.
+        let mut z = seed ^ counter.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^= z >> 31;
+        XorShift64Star { state: z | 1 }
+    }
+
     /// Next raw 64-bit output.
     pub fn next_u64(&mut self) -> u64 {
         let mut x = self.state;
@@ -48,6 +62,15 @@ impl XorShift64Star {
     /// A uniform `f64` in `[lo, hi)`.
     pub fn gen_range_f64(&mut self, lo: f64, hi: f64) -> f64 {
         lo + (hi - lo) * self.next_f64()
+    }
+
+    /// Pseudo-Gaussian: the sum of three `[-1, 1)` uniforms scaled to unit
+    /// variance.
+    pub fn gauss(&mut self) -> f64 {
+        (self.gen_range_f64(-1.0, 1.0)
+            + self.gen_range_f64(-1.0, 1.0)
+            + self.gen_range_f64(-1.0, 1.0))
+            / 1.732
     }
 
     /// A uniform `usize` in `[0, n)`.
@@ -135,6 +158,49 @@ mod tests {
         let mut r = XorShift64Star::seed_from_u64(11);
         let ones = (0..10_000).filter(|_| r.gen_bool()).count();
         assert!((4_500..5_500).contains(&ones), "ones = {ones}");
+    }
+
+    /// Outputs of the Monte Carlo engine's former private generator
+    /// (splitmix64 counter seeding, uniforms as `2u - 1`), captured bit
+    /// for bit: 8 words, then 4 `gauss().to_bits()`, per `(seed, k)`.
+    /// `for_stream` must keep every sampled corner in place.
+    #[test]
+    fn for_stream_reproduces_the_pinned_monte_streams() {
+        let pinned = [
+            (
+                0x0BD0_DA7E,
+                0,
+                "d35ac50200e76bf5 df8d6fe47886ada0 acb5abac76f1eaa8 49a6eb7b2747dfb1 \
+                26cfe1526c607d8a db5cca979596270e 949abd8cd2121ce0 19cb8d782ec9c4c4 \
+                bfce27059e5897f5 bfc708d7cdf92f3e bfe2d505723ff6de 3fe25578e08ecd85",
+            ),
+            (
+                0xFAB5,
+                63,
+                "d464be0d898fa1df f09f15202b4aadc9 24b0c458d8e40a34 2e5871b4b0f986ab \
+                ed91266ab23d5240 d2210bfc237c5540 965600779354f592 74bcc1f531f3fee3 \
+                3fe7c37a16ce2972 3fe7f6ba70dcb87b bfe25ad776033cdb bff2d9c77bce8e2f",
+            ),
+            // The counter wraps to a zero scramble here; `| 1` rescues it.
+            (
+                0,
+                u64::MAX,
+                "47e4ce4b896cdd1d abcfa6a8e079651d b9d10d8feb731f57 4db418a0bb1b019d \
+                0e6199b04d5aa600 c8674bcb42e3aad9 d052b2d8d46e7181 ac718cf8ce31398d \
+                3fb9d7057ed0339d bfdfeb17d9a8077c 3fcc4641d0648481 bf9b951b940f0d6e",
+            ),
+        ];
+        for (seed, k, expected) in pinned {
+            let mut r = XorShift64Star::for_stream(seed, k);
+            let words: Vec<u64> = (0..8).map(|_| r.next_u64()).collect();
+            let gauss = (0..4).map(|_| r.gauss().to_bits());
+            let got: Vec<String> = words
+                .into_iter()
+                .chain(gauss)
+                .map(|w| format!("{w:016x}"))
+                .collect();
+            assert_eq!(got.join(" "), expected, "({seed:#x}, {k:#x})");
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! is not shared with other suites; the file-local lock serializes the
 //! tests that touch that state.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use obd_cmos::TechParams;
 use obd_core::characterize::BenchConfig;
@@ -35,7 +35,9 @@ fn small_config(threads: usize) -> MonteConfig {
 
 #[test]
 fn report_is_byte_identical_across_thread_counts() {
-    let _guard = GLOBAL_STATE_LOCK.lock().unwrap();
+    let _guard = GLOBAL_STATE_LOCK
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
     let tech = TechParams::date05();
     let serial = run_monte(&tech, &small_config(1)).unwrap().render_json();
     for threads in [2, 3, 7] {
@@ -48,7 +50,9 @@ fn report_is_byte_identical_across_thread_counts() {
 
 #[test]
 fn defect_probes_detect_where_fault_free_does_not() {
-    let _guard = GLOBAL_STATE_LOCK.lock().unwrap();
+    let _guard = GLOBAL_STATE_LOCK
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
     let tech = TechParams::date05();
     let report = run_monte(&tech, &small_config(2)).unwrap();
     assert_eq!(report.degraded_total, 0);
@@ -76,7 +80,9 @@ fn defect_probes_detect_where_fault_free_does_not() {
 
 #[test]
 fn monte_metrics_account_for_every_measurement() {
-    let _guard = GLOBAL_STATE_LOCK.lock().unwrap();
+    let _guard = GLOBAL_STATE_LOCK
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
     obd_metrics::enable();
     obd_metrics::reset_all();
     let tech = TechParams::date05();
@@ -93,7 +99,9 @@ fn monte_metrics_account_for_every_measurement() {
 
 #[test]
 fn chaos_corrupted_corners_degrade_instead_of_aborting() {
-    let _guard = GLOBAL_STATE_LOCK.lock().unwrap();
+    let _guard = GLOBAL_STATE_LOCK
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
     // Rate 1000 permille: every evaluated injection point fires, so every
     // corner's parameters are corrupted before the analog engine runs.
     obd_chaos::arm(0xBAD, 1000);

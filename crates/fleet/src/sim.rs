@@ -235,7 +235,7 @@ fn simulate_range(
 ) -> Result<FleetAccum, FleetError> {
     let mut acc = FleetAccum::default();
     for id in lo..hi {
-        let mut rng = obd_atpg::rng::XorShift64Star::seed_from_u64(
+        let mut rng = obd_core::rng::XorShift64Star::seed_from_u64(
             cfg.seed.wrapping_add(id.wrapping_mul(GOLDEN)),
         );
         let params = DeviceParams::sample(&mut rng, &cfg.model, cfg.horizon_hours, profile.sites());

@@ -427,13 +427,14 @@ pub fn reset_all() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::PoisonError;
 
     // All tests share the process-wide enable flag and registry, so they
     // funnel through one lock to avoid cross-test interference.
     static TEST_LOCK: Mutex<()> = Mutex::new(());
 
     fn with_enabled<R>(f: impl FnOnce() -> R) -> R {
-        let _g = TEST_LOCK.lock().unwrap();
+        let _g = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         enable();
         reset_all();
         let r = f();
@@ -443,7 +444,7 @@ mod tests {
 
     #[test]
     fn disabled_counter_records_nothing() {
-        let _g = TEST_LOCK.lock().unwrap();
+        let _g = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         static C: Counter = Counter::new("test.disabled_counter");
         disable();
         C.add(5);

@@ -6,7 +6,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use obd_spice::analysis::tran::{transient_until, TranParams};
 use obd_spice::devices::{
@@ -108,7 +108,7 @@ fn mixed_circuit(vin_wave: SourceWave) -> Circuit {
 
 #[test]
 fn warm_newton_solves_do_not_allocate() {
-    let _guard = TEST_LOCK.lock().unwrap();
+    let _guard = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     MEASURED_THREAD.with(|c| c.set(true));
     let ckt = mixed_circuit(SourceWave::dc(1.8));
     let opts = SimOptions::new();
@@ -149,7 +149,7 @@ fn warm_newton_solves_do_not_allocate() {
 /// this exact path (so the zero-allocation claim is not vacuous).
 #[test]
 fn metrics_disabled_path_does_not_allocate_in_hot_loop() {
-    let _guard = TEST_LOCK.lock().unwrap();
+    let _guard = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     MEASURED_THREAD.with(|c| c.set(true));
     obd_metrics::disable();
 
@@ -210,7 +210,7 @@ fn metrics_disabled_path_does_not_allocate_in_hot_loop() {
 fn warm_transient_until_loop_does_not_allocate() {
     const WARM_STEP: usize = 20;
     const STOP_STEP: usize = 600;
-    let _guard = TEST_LOCK.lock().unwrap();
+    let _guard = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     MEASURED_THREAD.with(|c| c.set(true));
     obd_metrics::disable();
 

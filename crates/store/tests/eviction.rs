@@ -8,7 +8,7 @@
 
 use std::fs;
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use obd_store::{Digest, Store, STORE_MAX_BYTES_ENV};
 
@@ -30,7 +30,7 @@ const FRAME: u64 = 20;
 
 #[test]
 fn capped_compaction_evicts_oldest_and_survivors_reopen() {
-    let _gate = GATE.lock().unwrap();
+    let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
     let dir = tmp("oldest");
     let payload = [0xA5u8; 100];
     let cap = HEADER + 3 * (FRAME + 100);
@@ -76,7 +76,7 @@ fn capped_compaction_evicts_oldest_and_survivors_reopen() {
 /// dead weight the raw file carries.
 #[test]
 fn cap_judges_live_bytes_not_raw_file_size() {
-    let _gate = GATE.lock().unwrap();
+    let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
     let dir = tmp("live");
     let store = Store::open(&dir).unwrap();
     for _ in 0..10 {
@@ -96,7 +96,7 @@ fn cap_judges_live_bytes_not_raw_file_size() {
 /// the cap restores uncapped behavior.
 #[test]
 fn uncapped_compaction_evicts_nothing() {
-    let _gate = GATE.lock().unwrap();
+    let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
     let dir = tmp("uncapped");
     let store = Store::open(&dir).unwrap();
     for i in 0..4 {
@@ -116,7 +116,7 @@ fn uncapped_compaction_evicts_nothing() {
 /// `0` read as uncapped.
 #[test]
 fn env_var_seeds_the_cap_at_open() {
-    let _gate = GATE.lock().unwrap();
+    let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
     let dir = tmp("env");
     std::env::set_var(STORE_MAX_BYTES_ENV, "4096");
     let store = Store::open(&dir).unwrap();
@@ -144,7 +144,7 @@ fn env_var_seeds_the_cap_at_open() {
 /// `store.evicted_frames` metric accounts for every evicted frame.
 #[test]
 fn evicted_frames_metric_accounts_for_evictions() {
-    let _gate = GATE.lock().unwrap();
+    let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
     obd_metrics::enable();
     obd_metrics::reset_all();
     let dir = tmp("metric");

@@ -37,6 +37,11 @@ RUSTFLAGS="-C debug-assertions=on" cargo test -q --offline --workspace \
 cmp results/table1.txt tests/golden/table1.txt \
     || { echo "results/table1.txt differs from tests/golden/table1.txt"; exit 1; }
 
+# §3.3's screenability claim is a standing gate too: `repro variation`
+# exits nonzero when a measurement fails or an MBD stage's shift falls
+# inside 3 sigma of the fault-free process spread.
+./target/release/repro variation
+
 # Smoke the observability layer end to end: `repro stats` must emit a
 # parseable metrics snapshot with the key engine counters nonzero.
 ./target/release/repro stats

@@ -2,13 +2,12 @@
 //!
 //! The workspace builds fully offline, so instead of a property-testing
 //! crate these tests drive the suite's own seedable xorshift64* generator
-//! ([`obd_suite::atpg::rng::XorShift64Star`]): every case is deterministic
+//! ([`obd_suite::obd::rng::XorShift64Star`]): every case is deterministic
 //! and reproducible from its printed seed, on every platform.
 
 use obd_suite::atpg::fault::{Fault, TwoPatternTest};
 use obd_suite::atpg::faultsim::FaultSimulator;
 use obd_suite::atpg::podem::{Podem, PodemOutcome, PodemRequest};
-use obd_suite::atpg::rng::XorShift64Star;
 use obd_suite::atpg::twoframe::{GenOutcome, TwoFrameAtpg};
 use obd_suite::cmos::expand::decompose_for_expansion;
 use obd_suite::logic::format::{parse_bench, to_bench};
@@ -17,6 +16,7 @@ use obd_suite::logic::sim::simulate;
 use obd_suite::logic::soa::SoaNetlist;
 use obd_suite::logic::value::{all_vectors, Lv};
 use obd_suite::logic::wide::WideBlock;
+use obd_suite::obd::rng::XorShift64Star;
 
 /// A recipe for one random gate: kind selector plus input pickers.
 #[derive(Debug, Clone)]
